@@ -5,11 +5,19 @@
 // unit, ending with one JSON line. See README.md for the workloads and
 // metrics.
 //
-//	perfbench --workload gemm-wire --seed 1 --seconds 14 --trace 0
+//	perfbench --workload gemm-wire --seed 1 --seconds 16 --trace 0
 //
 // --trace 0 measures the end-to-end metrics with tracing off; --trace 1 is
 // the traced run that reports the per-layer metrics and writes its spans
 // as Chrome trace_event JSON (--trace-out).
+//
+// The process runs on one P (GOMAXPROCS=1): client, server and the legion
+// drain share a single running thread, so a request's latency is its own
+// work and not how the host schedules several threads at once. The drain's
+// worker pool is therefore off
+// (min(GOMAXPROCS, 16) = 1 worker). The end-to-end timings are scaled to
+// a reference host speed by a calibration kernel run between requests
+// (calib.go).
 package main
 
 import (
@@ -18,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 )
 
@@ -27,7 +36,7 @@ func main() {
 	var secs float64
 	flag.StringVar(&o.workload, "workload", gemmWire, "workload to run")
 	flag.Int64Var(&o.seed, "seed", 1, "seed of every generated input")
-	flag.Float64Var(&secs, "seconds", 14, "seconds of measured traffic")
+	flag.Float64Var(&secs, "seconds", 16, "seconds of measured traffic")
 	flag.IntVar(&trace, "trace", 0, "0: end-to-end metrics, untraced; 1: per-layer metrics from the traced run")
 	flag.StringVar(&o.traceOut, "trace-out", "", "Chrome trace file of the traced run (default .bench_build/traces/<workload>-seed<seed>.json)")
 	flag.Parse()
@@ -36,7 +45,8 @@ func main() {
 		os.Exit(2)
 	}
 	o.trace = trace == 1
-	o.setups, o.setupFor = 2, time.Second
+	runtime.GOMAXPROCS(1)
+	o.setups, o.setupFor = 3, time.Second
 	o.seconds = time.Duration(secs * float64(time.Second))
 	if o.trace && o.traceOut == "" {
 		o.traceOut = fmt.Sprintf(".bench_build/traces/%s-seed%d.json", o.workload, o.seed)

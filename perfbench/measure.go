@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"runtime/metrics"
 	"sort"
 	"time"
@@ -32,9 +33,7 @@ type metricDef struct{ name, unit string }
 
 // endToEnd lists the untraced run's metrics, in print order.
 var endToEnd = []metricDef{
-	{"latency_p50_ms", "ms"},
-	{"ops_per_s", "1/s"},
-	{"throughput_gflops", "GFLOP/s"},
+	{"latency_ref_ms", "ms"},
 	{"sim_gflops", "GFLOP/s"},
 	{"setup_s", "s"},
 	{"peak_heap_mb", "MiB"},
@@ -97,34 +96,40 @@ const maxSetups = 25
 // setupRun builds the workload and its server at least o.setups times, and
 // more while the set-ups have taken less than o.setupFor, timing each
 // whole set-up (server start, input generation, reference evaluation,
-// warm-up). It keeps the last.
-func setupRun(ctx context.Context, o options) (*workload, *env, []time.Duration, error) {
+// warm-up). It keeps the last. Beside each set-up's time it returns that
+// time in seconds at the reference speed, from calibration runs just
+// before and just after the set-up.
+func setupRun(ctx context.Context, o options, k *calibrator) (*workload, *env, []time.Duration, []float64, error) {
 	var (
 		w     *workload
 		e     *env
 		times []time.Duration
+		refs  []float64
 	)
 	var spent time.Duration
 	for i := 0; i < max(o.setups, 1) || (spent < o.setupFor && i < maxSetups); i++ {
 		if e != nil {
 			e.close()
 		}
+		before := k.speed(5)
 		t0 := time.Now()
 		var err error
 		if w, err = buildWorkload(o.workload, o.seed, o.size); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		if e, err = startEnv(w, o.wrap); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		if err := warmUp(ctx, w, e); err != nil {
 			e.close()
-			return nil, nil, nil, fmt.Errorf("warm-up: %w", err)
+			return nil, nil, nil, nil, fmt.Errorf("warm-up: %w", err)
 		}
 		times = append(times, time.Since(t0))
+		after := k.speed(5)
+		refs = append(refs, scaled(times[i], (before+after)/2).Seconds())
 		spent += times[i]
 	}
-	return w, e, times, nil
+	return w, e, times, refs, nil
 }
 
 // warmUp compiles the run workloads' plan (so timed requests hit the plan
@@ -150,7 +155,8 @@ func warmUp(ctx context.Context, w *workload, e *env) error {
 // measureEndToEnd drives the closed loop for o.seconds with tracing off and
 // reports every end-to-end metric.
 func measureEndToEnd(ctx context.Context, o options) (*report, error) {
-	w, e, setups, err := setupRun(ctx, o)
+	k := newCalibrator()
+	w, e, setups, setupsRef, err := setupRun(ctx, o, k)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +164,9 @@ func measureEndToEnd(ctx context.Context, o options) (*report, error) {
 	rep := newReport(endToEnd)
 
 	var (
-		lats     []float64 // ms, successful requests only
+		timed    []sample // successful requests only
+		cals     []sample // the calibration run after every request
+		calTime  time.Duration
 		sims     []float64
 		requests int
 		okOps    int
@@ -169,9 +177,13 @@ func measureEndToEnd(ctx context.Context, o options) (*report, error) {
 	restart := func() (err error) {
 		conns += e.conns.Load()
 		e.close()
+		// Collect the closed server's plans, so each pass starts on the
+		// same heap.
+		runtime.GC()
 		e, err = startEnv(w, o.wrap)
 		return err
 	}
+	start := time.Now()
 	active, err := drive(w, o.seconds, 1, restart, func(_ int, sched string) {
 		t0 := time.Now()
 		sim, bad, err := w.send(ctx, e.cl, nil, 0, -1, sched)
@@ -183,8 +195,11 @@ func measureEndToEnd(ctx context.Context, o options) (*report, error) {
 			return
 		}
 		okOps += w.batch()
-		lats = append(lats, ms(lat))
+		timed = append(timed, sample{end: time.Since(start), key: sched, d: lat})
 		sims = append(sims, sim)
+		cal := k.run()
+		calTime += cal
+		cals = append(cals, sample{end: time.Since(start), d: cal})
 	})
 	if err != nil {
 		heap.stop()
@@ -195,31 +210,85 @@ func measureEndToEnd(ctx context.Context, o options) (*report, error) {
 	conns += e.conns.Load()
 
 	rep.Correct = rep.Failed == 0
-	if len(lats) == 0 {
+	if len(timed) == 0 {
 		return rep, nil
 	}
+	rep.samples = len(timed)
+	lats, latsRef := atReference(timed, cals)
 	sort.Float64s(lats)
-	rep.samples = len(lats)
 	p, tail, beyond := tailPercentile(lats)
-	rep.set("latency_p50_ms", quantile(lats, 0.5))
-	rep.set("ops_per_s", float64(okOps)/active.Seconds())
-	rep.set("throughput_gflops", w.opFlops()*float64(okOps)/active.Seconds()/1e9)
+	rep.set("latency_ref_ms", typical(timed, latsRef))
 	if w.cold != nil {
 		rep.set("sim_gflops", geomean(sims))
 	} else {
 		rep.set("sim_gflops", median(sims))
 	}
-	rep.set("setup_s", median(seconds(setups)))
-	rep.set("peak_heap_mb", float64(peak)/(1<<20))
+	rep.set("setup_s", median(setupsRef))
+	rep.set("peak_heap_mb", peak/(1<<20))
 	rep.set("alloc_kb_per_op", float64(allocs)/float64(rep.Attempted)/1024)
 
-	rep.note("requests=%d ops=%d failed=%d error_rate=%g connections=%d timed_s=%.3f",
-		requests, rep.Attempted, rep.Failed, float64(rep.Failed)/float64(rep.Attempted), conns, active.Seconds())
-	// The tail is printed, not reported: host contention bursts move it
-	// between runs by more than the largest bound BENCHMARK.json allows.
-	rep.note("latency_tail_ms=%.4g ms at p%g: %d of %d request latencies lie beyond it", tail, p, beyond, len(lats))
-	rep.note("setup_s is the median of %d set-ups: %v", len(setups), roundAll(setups))
+	traffic := (active - calTime).Seconds()
+	rep.note("requests=%d ops=%d failed=%d error_rate=%g connections=%d timed_s=%.3f of which calibration_s=%.3f",
+		requests, rep.Attempted, rep.Failed, float64(rep.Failed)/float64(rep.Attempted), conns, active.Seconds(), calTime.Seconds())
+	calWalls := make([]time.Duration, len(cals))
+	for i, c := range cals {
+		calWalls[i] = c.d
+	}
+	rep.note("calibration run: median %v over %d runs (reference %v)", medianDuration(calWalls).Round(time.Microsecond), len(cals), calibRef)
+	// The raw figures are printed, not reported: the host's slow phases
+	// move them between runs by about the largest bound BENCHMARK.json
+	// allows.
+	rep.note("raw latency_p50_ms=%.4g over %d requests; raw latency_tail_ms=%.4g ms at p%g: %d request latencies lie beyond it",
+		quantile(lats, 0.5), len(lats), tail, p, beyond)
+	rep.note("raw ops_per_s=%.4g, raw throughput_gflops=%.4g (computed FLOPs per wall second of traffic)",
+		float64(okOps)/traffic, w.opFlops()*float64(okOps)/traffic/1e9)
+	rep.note("setup_s is the median of %d set-ups at the reference speed; raw %v", len(setups), roundAll(setups))
 	return rep, nil
+}
+
+// sample is one timed request or calibration run.
+type sample struct {
+	end time.Duration // since the traffic started
+	key string        // a plan-cold request's schedule
+	d   time.Duration // its wall time
+}
+
+// atReference returns every request's latency in ms, raw and at the
+// reference speed: scaled by the median calibration run of the
+// calibWindow in which the request ended. A calibration run follows every
+// request, so that window always holds one.
+func atReference(timed, cals []sample) (raw, ref []float64) {
+	byWindow := map[int][]time.Duration{}
+	for _, c := range cals {
+		i := int(c.end / calibWindow)
+		byWindow[i] = append(byWindow[i], c.d)
+	}
+	for _, t := range timed {
+		raw = append(raw, ms(t.d))
+		ref = append(ref, ms(scaled(t.d, medianDuration(byWindow[int(t.end/calibWindow)]))))
+	}
+	return raw, ref
+}
+
+// typical summarizes the requests' values xs. Every request of a run
+// workload is the same work, so it is their median. plan-cold's requests
+// are 198 different compiles whose costs span 30×, and the median of such
+// a mix jumps between neighbouring schedules; there each schedule's median
+// over the passes stands for it and the figure is the mean over the
+// schedules: the cost of one pass over the space, per request.
+func typical(timed []sample, xs []float64) float64 {
+	bySched := map[string][]float64{}
+	for i, t := range timed {
+		if t.key == "" {
+			return median(xs)
+		}
+		bySched[t.key] = append(bySched[t.key], xs[i])
+	}
+	sum := 0.0
+	for _, v := range bySched {
+		sum += median(v)
+	}
+	return sum / float64(len(bySched))
 }
 
 // drive calls step until the steps have taken the given time. On
@@ -254,25 +323,28 @@ func drive(w *workload, d time.Duration, minPasses int, restart func() error, st
 }
 
 // heapSampler records the highest Go heap (live and not yet swept objects)
-// seen while it runs.
+// seen in each calibWindow while it runs.
 type heapSampler struct {
 	stopc chan struct{}
-	done  chan uint64
+	done  chan []float64
 }
 
 func startHeapSampler() *heapSampler {
-	h := &heapSampler{stopc: make(chan struct{}), done: make(chan uint64)}
+	h := &heapSampler{stopc: make(chan struct{}), done: make(chan []float64)}
 	go func() {
 		tick := time.NewTicker(2 * time.Millisecond)
 		defer tick.Stop()
-		var peak uint64
+		start := time.Now()
+		var peaks []float64
 		for {
-			if v := readMetric("/memory/classes/heap/objects:bytes"); v > peak {
-				peak = v
+			i := int(time.Since(start) / calibWindow)
+			for len(peaks) <= i {
+				peaks = append(peaks, 0)
 			}
+			peaks[i] = max(peaks[i], float64(readMetric("/memory/classes/heap/objects:bytes")))
 			select {
 			case <-h.stopc:
-				h.done <- peak
+				h.done <- peaks
 				return
 			case <-tick.C:
 			}
@@ -281,10 +353,18 @@ func startHeapSampler() *heapSampler {
 	return h
 }
 
-// stop ends sampling and returns the peak.
-func (h *heapSampler) stop() uint64 {
+// stop ends sampling and returns the median over the windows of each
+// window's peak: the heap's high-water mark, GC cycle after GC cycle,
+// without letting one late collection decide the figure.
+func (h *heapSampler) stop() float64 {
 	close(h.stopc)
-	return <-h.done
+	var peaks []float64
+	for _, p := range <-h.done {
+		if p > 0 {
+			peaks = append(peaks, p)
+		}
+	}
+	return median(peaks)
 }
 
 func readMetric(name string) uint64 {
@@ -294,14 +374,6 @@ func readMetric(name string) uint64 {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func seconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
 
 func roundAll(ds []time.Duration) []time.Duration {
 	out := make([]time.Duration, len(ds))

@@ -223,3 +223,26 @@ func TestFrameSizeMatchesCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestAtReferenceScalesByItsWindow checks each request is scaled by the
+// calibration runs of the second in which it ended, and that plan-cold's
+// summary weighs every schedule once.
+func TestAtReferenceScalesByItsWindow(t *testing.T) {
+	ms := time.Millisecond
+	timed := []sample{{end: 500 * ms, d: 10 * ms}, {end: 1500 * ms, d: 10 * ms}}
+	cals := []sample{{end: 510 * ms, d: 2 * ms}, {end: 1510 * ms, d: ms / 2}}
+	raw, ref := atReference(timed, cals)
+	for i, want := range [][2]float64{{10, 5}, {10, 20}} {
+		if math.Abs(raw[i]-want[0]) > 1e-9 || math.Abs(ref[i]-want[1]) > 1e-9 {
+			t.Errorf("request %d: raw %g ms, at reference %g ms; want %g and %g", i, raw[i], ref[i], want[0], want[1])
+		}
+	}
+
+	cold := []sample{{key: "a"}, {key: "a"}, {key: "a"}, {key: "b"}}
+	if got := typical(cold, []float64{1, 2, 9, 10}); got != 6 {
+		t.Errorf("plan-cold typical = %g, want the mean of the schedules' medians, 6", got)
+	}
+	if got := typical(make([]sample, 3), []float64{1, 2, 9}); got != 2 {
+		t.Errorf("run typical = %g, want the median, 2", got)
+	}
+}

@@ -84,7 +84,7 @@ type layerSums struct {
 // spans. It reports every per-layer metric.
 func measureLayers(ctx context.Context, o options) (*report, error) {
 	o.setups, o.setupFor = 1, 0 // the traced run reports no setup_s
-	w, e, _, err := setupRun(ctx, o)
+	w, e, _, _, err := setupRun(ctx, o, newCalibrator())
 	if err != nil {
 		return nil, err
 	}
