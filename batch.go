@@ -3,106 +3,149 @@ package distal
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"distal/internal/legion"
 	"distal/internal/tensor"
 )
 
-// BatchBinding is a Plan bound to N independent problem instances: the
-// executable form of a batched Real-mode workload. One execution walks the
-// plan's launch structure once — amortizing requirement lookup, accounting,
-// and dispatch across the batch — while leaf kernels run per instance over
-// the worker pool. Instances never serialize against each other, and every
-// instance's output is bit-identical to a single-instance Bind(...).Run on
-// the same data.
+// Binding is a Plan with real data attached for N independent problem
+// instances (N = 1 for Bind): the executable form of a Real-mode workload.
+// The caller binds the plan's Tensors per instance; every other stage
+// output (a multi-statement plan's intermediates and output) is allocated
+// privately per instance by the binding, so concurrent executions never
+// share state. One Run walks each stage's launch structure once —
+// amortizing requirement lookup, accounting, and dispatch across the batch —
+// while leaf kernels run per instance over the worker pool, and every
+// instance's output is bit-identical to a single-instance run on the same
+// data.
 //
-// Build one with Plan.BindBatch (per-instance tensor sets) or
-// Plan.BindStacked (one contiguous leading-batch-dim tensor per input).
-type BatchBinding struct {
+// The shared plan is not touched by binding, and binding errors surface at
+// Run. A Binding is cheap; make one per data set.
+type Binding struct {
 	plan  *Plan
 	insts []map[string]*tensor.Dense
 	outs  []*Tensor
 	err   error
 }
 
+// Bind attaches real data for one execution. Exactly the plan's Tensors
+// must be bound with data (allocate with Zero, FillRandom, or Bind), with
+// shapes matching the compiled plan.
+func (p *Plan) Bind(tensors ...*Tensor) *Binding {
+	b := &Binding{plan: p}
+	inst, out, err := p.bindInstance(tensors)
+	if err != nil {
+		b.err = wrapErr(KindExec, "bind", err)
+		return b
+	}
+	b.insts, b.outs = append(b.insts, inst), append(b.outs, out)
+	return b
+}
+
+// bindInstance validates one instance's tensors against the plan and
+// allocates its unbound stage outputs.
+func (p *Plan) bindInstance(tensors []*Tensor) (map[string]*tensor.Dense, *Tensor, error) {
+	data := map[string]*tensor.Dense{}
+	var out *Tensor
+	for _, t := range tensors {
+		want := p.Shape(t.Name)
+		switch {
+		case !slices.Contains(p.binds, t.Name) && want != nil:
+			return nil, nil, fmt.Errorf("tensor %s is computed by the program; bind leaf inputs only", t.Name)
+		case want == nil:
+			return nil, nil, fmt.Errorf("plan has no tensor %s", t.Name)
+		case t.Data == nil:
+			return nil, nil, fmt.Errorf("tensor %s has no data (use Zero, FillRandom, or Bind)", t.Name)
+		case !slices.Equal(t.Data.Shape(), want):
+			return nil, nil, fmt.Errorf("tensor %s has shape %v, plan wants %v", t.Name, t.Data.Shape(), want)
+		}
+		data[t.Name] = t.Data
+		if t.Name == p.output {
+			out = t
+		}
+	}
+	for _, name := range p.binds {
+		if data[name] == nil {
+			return nil, nil, fmt.Errorf("no data bound for tensor %s", name)
+		}
+	}
+	for _, st := range p.stages {
+		name := st.data.output
+		if data[name] == nil {
+			shape := p.Shape(name)
+			data[name] = tensor.New(name, shape...)
+			if name == p.output {
+				out = &Tensor{Name: name, Shape: slices.Clone(shape), Data: data[name]}
+			}
+		}
+	}
+	return data, out, nil
+}
+
 // BindBatch attaches real data for N problem instances, one tensor set per
-// instance. Each instance is validated exactly as Bind validates a single
-// data set (every tensor bound, shapes matching the compiled plan). The
-// output tensor of each instance must be distinct from every tensor of
-// every other instance — instances execute concurrently, and a shared
-// output would race. Binding errors surface at Run.
-func (p *Plan) BindBatch(instances ...[]*Tensor) *BatchBinding {
-	bb := &BatchBinding{plan: p}
+// instance, each validated exactly as Bind validates a single set.
+// Instances may share input tensors, but a bound output tensor must be
+// distinct from every tensor of every other instance — instances execute
+// concurrently, and a shared output would race.
+func (p *Plan) BindBatch(instances ...[]*Tensor) *Binding {
+	b := &Binding{plan: p}
 	if len(instances) == 0 {
-		bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("empty batch: bind at least one instance"))
-		return bb
+		b.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("empty batch: bind at least one instance"))
+		return b
 	}
 	for i, ts := range instances {
-		b := p.Bind(ts...)
-		if b.err != nil {
-			bb.err = &Error{Kind: KindOf(b.err), Op: "bind-batch", Err: fmt.Errorf("instance %d: %w", i, b.err)}
-			return bb
+		inst, out, err := p.bindInstance(ts)
+		if err != nil {
+			b.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("instance %d: %w", i, err))
+			return b
 		}
-		bb.insts = append(bb.insts, b.data)
-		bb.outs = append(bb.outs, b.out)
+		b.insts, b.outs = append(b.insts, inst), append(b.outs, out)
 	}
-	// Instances run in parallel: an output tensor shared with any tensor of
-	// another instance would be written while that instance reads or writes
-	// it.
-	out := p.data.output
-	for i, inst := range bb.insts {
-		for j, other := range bb.insts {
+	out := p.output
+	for i, inst := range b.insts {
+		for j, other := range b.insts {
 			if i == j {
 				continue
 			}
 			for name, d := range other {
 				if inst[out] == d {
-					bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf(
+					b.err = wrapErr(KindExec, "bind-batch", fmt.Errorf(
 						"instance %d output %s shares data with instance %d tensor %s: outputs must be private to their instance", i, out, j, name))
-					return bb
+					return b
 				}
 			}
 		}
 	}
-	return bb
+	return b
 }
 
 // BindStacked attaches real data for batch problem instances stored
 // contiguously along a leading batch dimension, Tensor-Go style: each
 // stacked tensor has shape [batch, d0, d1, ...] where [d0, d1, ...] is the
 // plan's shape for that tensor, and instance i is the zero-copy slice
-// data[i*vol : (i+1)*vol]. The stacked output tensor receives every
+// data[i*vol : (i+1)*vol]. A stacked output tensor receives every
 // instance's result in its slice — one allocation in, one allocation out.
-func (p *Plan) BindStacked(batch int, stacked ...*Tensor) *BatchBinding {
-	bb := &BatchBinding{plan: p}
+func (p *Plan) BindStacked(batch int, stacked ...*Tensor) *Binding {
+	fail := func(err error) *Binding {
+		return &Binding{plan: p, err: wrapErr(KindExec, "bind-batch", err)}
+	}
 	if batch <= 0 {
-		bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("batch must be positive, got %d", batch))
-		return bb
+		return fail(fmt.Errorf("batch must be positive, got %d", batch))
 	}
 	instances := make([][]*Tensor, batch)
 	for _, t := range stacked {
 		shape := p.Shape(t.Name)
 		if shape == nil {
-			bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("plan has no tensor %s", t.Name))
-			return bb
+			return fail(fmt.Errorf("plan has no tensor %s", t.Name))
 		}
 		if t.Data == nil {
-			bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("stacked tensor %s has no data", t.Name))
-			return bb
+			return fail(fmt.Errorf("stacked tensor %s has no data", t.Name))
 		}
 		want := append([]int{batch}, shape...)
-		got := t.Data.Shape()
-		if len(got) != len(want) {
-			bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf(
-				"stacked tensor %s has rank %d, want %d (leading batch dim over the plan shape %v)", t.Name, len(got), len(want), shape))
-			return bb
-		}
-		for d := range want {
-			if got[d] != want[d] {
-				bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf(
-					"stacked tensor %s has shape %v, want %v (batch %d over the plan shape %v)", t.Name, got, want, batch, shape))
-				return bb
-			}
+		if got := t.Data.Shape(); !slices.Equal(got, want) {
+			return fail(fmt.Errorf(
+				"stacked tensor %s has shape %v, want %v (batch %d over the plan shape %v)", t.Name, got, want, batch, shape))
 		}
 		vol := 1
 		for _, s := range shape {
@@ -118,43 +161,43 @@ func (p *Plan) BindStacked(batch int, stacked ...*Tensor) *BatchBinding {
 }
 
 // Len returns the number of bound instances (0 when the binding failed).
-func (bb *BatchBinding) Len() int { return len(bb.insts) }
+func (b *Binding) Len() int { return len(b.insts) }
 
-// Output returns instance i's bound output tensor (after Run it holds that
+// Output returns instance i's output tensor (after Run it holds that
 // instance's result), or nil when the binding failed or i is out of range.
-// For stacked bindings the tensor is a zero-copy view into the stacked
-// output's slice i.
-func (bb *BatchBinding) Output(i int) *Tensor {
-	if bb.err != nil || i < 0 || i >= len(bb.outs) {
+// A bound output is returned as the caller passed it; for stacked bindings
+// it is a zero-copy view into the stacked output's slice i.
+func (b *Binding) Output(i int) *Tensor {
+	if b.err != nil || i < 0 || i >= len(b.outs) {
 		return nil
 	}
-	return bb.outs[i]
+	return b.outs[i]
 }
 
-// Run executes the plan on every bound instance in one launch walk and
-// returns one Result per instance. The simulated-time accounting runs
-// exactly once — batching never perturbs the cost model — so the Results
-// share identical metrics, each equal to a single-instance run's. Real leaf
-// kernels fan out per (instance × task) over the worker pool (bound by
-// WithRealWorkers). It aborts with KindCanceled at the runtime's next
-// checkpoint once ctx is done (every instance's output is then in an
-// unspecified partial state).
-func (bb *BatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*Result, error) {
-	if bb.err != nil {
-		return nil, bb.err
+// Tensor returns instance i's data for any tensor of the plan — bound
+// tensors, intermediates, and the output alike — or nil for unknown names,
+// out-of-range instances, or failed bindings. After Run, an intermediate's
+// tensor holds the value its producing stage computed.
+func (b *Binding) Tensor(i int, name string) *tensor.Dense {
+	if b.err != nil || i < 0 || i >= len(b.insts) {
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "run-batch", err)
+	return b.insts[i][name]
+}
+
+// Run executes the plan on every bound instance and returns the simulated
+// metrics alongside: stages run in order, leaf kernels compute on the
+// tensors, reductions flush into the outputs, consumers read their
+// producers' distributed results in place, and the task graph is priced
+// under the session's cost model. The accounting runs exactly once however
+// many instances are bound — batching never perturbs the cost model — so
+// the Result equals a single-instance run's. Real leaf kernels fan out per
+// (instance × task) over the worker pool (bound by WithRealWorkers). Run
+// aborts with KindCanceled at the runtime's next checkpoint once ctx is
+// done (every instance's outputs are then in an unspecified partial state).
+func (b *Binding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) {
+	if b.err != nil {
+		return nil, b.err
 	}
-	mods := append([]ExecOption{WithReal(), legion.WithBatch(bb.insts)}, opts...)
-	res, err := legion.RunContext(ctx, bb.plan.data.prog, legion.NewOptions(bb.plan.execParams(), mods...))
-	if err != nil {
-		return nil, wrapErr(KindExec, "run-batch", err)
-	}
-	out := make([]*Result, len(bb.insts))
-	for i := range out {
-		r := *res
-		out[i] = &r
-	}
-	return out, nil
+	return b.plan.exec(ctx, "run", append([]ExecOption{WithReal(), legion.WithBatch(b.insts)}, opts...))
 }

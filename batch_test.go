@@ -175,12 +175,11 @@ func TestBindBatchMatchesSequential(t *testing.T) {
 							instances[i] = instanceTensors(plan, c.req, int64(1000*i+7))
 						}
 						bb := plan.BindBatch(instances...)
-						results, err := bb.Run(context.Background(), distal.WithRealWorkers(workers))
-						if err != nil {
+						if _, err := bb.Run(context.Background(), distal.WithRealWorkers(workers)); err != nil {
 							t.Fatal(err)
 						}
-						if len(results) != batch {
-							t.Fatalf("got %d results, want %d", len(results), batch)
+						if bb.Len() != batch {
+							t.Fatalf("got %d instances, want %d", bb.Len(), batch)
 						}
 						for i := 0; i < batch; i++ {
 							got := bb.Output(i).Data.Data()
@@ -226,16 +225,14 @@ func TestBindBatchMetricsMatchSingle(t *testing.T) {
 			for i := range instances {
 				instances[i] = instanceTensors(plan, c.req, int64(1000*i+7))
 			}
-			results, err := plan.BindBatch(instances...).Run(context.Background())
+			r, err := plan.BindBatch(instances...).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, r := range results {
-				if r.Time != single.Time || r.Flops != single.Flops ||
-					r.IntraBytes != single.IntraBytes || r.InterBytes != single.InterBytes ||
-					r.Copies != single.Copies || r.PeakMemBytes != single.PeakMemBytes {
-					t.Fatalf("instance %d metrics %+v != single-instance metrics %+v", i, *r, *single)
-				}
+			if r.Time != single.Time || r.Flops != single.Flops ||
+				r.IntraBytes != single.IntraBytes || r.InterBytes != single.InterBytes ||
+				r.Copies != single.Copies || r.PeakMemBytes != single.PeakMemBytes {
+				t.Fatalf("batched metrics %+v != single-instance metrics %+v", *r, *single)
 			}
 		})
 	}
@@ -310,7 +307,7 @@ func TestBindBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertErr := func(t *testing.T, bb *distal.BatchBinding, want string) {
+	assertErr := func(t *testing.T, bb *distal.Binding, want string) {
 		t.Helper()
 		_, err := bb.Run(context.Background())
 		if err == nil {

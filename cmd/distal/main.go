@@ -213,14 +213,14 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 		shapes[name] = shape
 	}
 	sess := distal.NewSession(newMachine(procs, gpu), distal.WithParams(params(gpu)))
-	pp, err := sess.CompileProgram(context.Background(), distal.Request{Shapes: shapes, Stmts: stmts})
+	pp, err := sess.Compile(context.Background(), distal.Request{Shapes: shapes, Stmts: stmts})
 	if err != nil {
 		return err
 	}
 	fmt.Println("=== program ===")
 	fmt.Printf("statements    %d\n", len(stmts))
 	fmt.Printf("stages        %d (%d repartitions)\n", pp.Stages(), pp.Repartitions())
-	fmt.Printf("inputs        %s\n", strings.Join(pp.Inputs(), ", "))
+	fmt.Printf("inputs        %s\n", strings.Join(pp.Tensors(), ", "))
 	fmt.Printf("output        %s %v\n", pp.Output(), pp.Shape(pp.Output()))
 	fmt.Printf("plan          %s cached=%t\n", pp.Key(), pp.Stats().Cached)
 	if !simulate && !trace {

@@ -26,15 +26,18 @@
 //
 // A Request is pure data — statement, shapes, formats, and schedule are all
 // text — so workloads can be stored, shipped over the wire, and emitted by
-// autotuners. Re-compiling a request with the same statement, shapes,
-// formats, schedule, and machine hits the session's plan cache and skips
-// compilation entirely; concurrent identical compiles collapse into one
-// (singleflight); a cached Plan is safe for concurrent Simulate and
-// Bind.Run. Contexts cancel compilation and execution promptly, and
-// failures at the API boundary are *Error values classified by stage
-// (KindParse, KindSchedule, KindCompile, KindExec, KindCanceled). The
-// one-call Session.Execute shim remains for CLIs, and cmd/distal-serve
-// exposes all of this over HTTP/JSON (see internal/serve).
+// autotuners. A request with Stmts (a chain of statements whose outputs feed
+// later ones) compiles through the same Compile into a multi-stage Plan
+// whose intermediates stay distributed between stages. Re-compiling a
+// statement with the same shapes, formats, schedule, and machine hits the
+// session's plan cache and skips compilation entirely; concurrent identical
+// compiles collapse into one (singleflight); a cached Plan is safe for
+// concurrent Simulate and Bind.Run, and BindBatch runs N problem instances
+// through one plan in a single walk. Contexts cancel compilation and
+// execution promptly, and failures at the API boundary are *Error values
+// classified by stage (KindParse, KindSchedule, KindCompile, KindExec,
+// KindCanceled). The one-call Session.Execute shim remains for CLIs, and
+// cmd/distal-serve exposes all of this over HTTP/JSON (see internal/serve).
 //
 // For programmatic construction (and for Real-mode execution on bound
 // data), the fluent layer mirrors Figure 2 of the paper:
@@ -59,7 +62,7 @@
 package distal
 
 import (
-	"fmt"
+	"context"
 
 	"distal/internal/core"
 	"distal/internal/distnot"
@@ -191,51 +194,7 @@ type Computation struct {
 	Machine *Machine
 	tensors map[string]*Tensor
 	sched   *schedule.Schedule
-	sess    *Session // non-nil when created through a Session (plan caching)
-}
-
-// Define parses the statement and binds the named tensors, validating
-// shapes. Every tensor named in the expression must be provided.
-//
-// Deprecated: prefer Session.Define, which compiles through the session's
-// plan cache. Define remains for one-shot use.
-func Define(expr string, m *Machine, tensors ...*Tensor) (*Computation, error) {
-	stmt, err := ir.Parse(expr)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]*Tensor{}
-	for _, t := range tensors {
-		byName[t.Name] = t
-	}
-	shapes := map[string][]int{}
-	for _, name := range stmt.TensorNames() {
-		t, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("distal: expression references tensor %s, which was not provided", name)
-		}
-		shapes[name] = t.Shape
-	}
-	if err := stmt.Validate(shapes); err != nil {
-		return nil, err
-	}
-	return &Computation{
-		Stmt:    stmt,
-		Machine: m,
-		tensors: byName,
-		sched:   schedule.New(stmt),
-	}, nil
-}
-
-// MustDefine is Define but panics on error.
-//
-// Deprecated: prefer Session.MustDefine.
-func MustDefine(expr string, m *Machine, tensors ...*Tensor) *Computation {
-	c, err := Define(expr, m, tensors...)
-	if err != nil {
-		panic(err)
-	}
-	return c
+	sess    *Session
 }
 
 // Schedule returns the computation's schedule for fluent transformation.
@@ -328,40 +287,24 @@ type Program struct {
 	c *Computation
 }
 
-// Compile lowers the computation to a Legion program. When the computation
-// was created through a Session and no tensor has data bound, the session's
-// plan cache is consulted first: a hit returns the previously compiled plan
-// without re-running the compiler, and concurrent identical compiles —
-// fluent computations included — collapse into one through the session's
-// singleflight table (keyed by plan key).
+// Compile lowers the computation to a Legion program. When no tensor has
+// data bound, the session's plan cache is consulted first: a hit returns
+// the previously compiled plan without re-running the compiler, and
+// concurrent compiles of the same plan — fluent and Request compiles alike —
+// collapse into one through the session's singleflight table.
 func (c *Computation) Compile() (*Program, error) {
-	prog, _, err := c.compile()
-	return prog, err
-}
-
-// compile is Compile plus the plan key under which the program is cached
-// ("" when the computation does not participate in caching).
-func (c *Computation) compile() (*Program, string, error) {
-	in := c.compileInput()
-	if c.sess == nil || !c.cacheable() {
-		p, err := core.Compile(in)
-		if err != nil {
-			return nil, "", err
-		}
-		return &Program{P: p, c: c}, "", nil
-	}
-	key := core.PlanKey(in)
-	pd, err := c.sess.flightCompile(key, func() (*planData, error) {
-		p, err := core.Compile(in)
+	if !c.cacheable() {
+		p, err := core.Compile(c.compileInput())
 		if err != nil {
 			return nil, err
 		}
-		return c.newPlanData(p), nil
-	})
-	if err != nil {
-		return nil, "", err
+		return &Program{P: p, c: c}, nil
 	}
-	return &Program{P: pd.prog, c: c}, key, nil
+	_, pd, _, err := c.sess.resolve(context.TODO(), c)
+	if err != nil {
+		return nil, err
+	}
+	return &Program{P: pd.prog, c: c}, nil
 }
 
 // Result re-exports the runtime's execution summary.
@@ -431,19 +374,6 @@ func (p *Program) Simulate(params Params, opts ...ExecOption) (*Result, error) {
 	return p.Execute(params, opts...)
 }
 
-// SimulateOpts executes with a fully assembled options struct.
-//
-// Deprecated: use Execute with ExecOption modifiers.
-func (p *Program) SimulateOpts(opt legion.Options) (*Result, error) {
-	return legion.Run(p.P, opt)
-}
-
-// Output returns the output tensor (after Run, it holds the result), or
-// nil for a program resolved purely from the plan cache (Request
-// executions never bind data).
-func (p *Program) Output() *Tensor {
-	if p.c == nil {
-		return nil
-	}
-	return p.c.tensors[p.c.Stmt.LHS.Tensor]
-}
+// Output returns the computation's output tensor (after Run, it holds the
+// result).
+func (p *Program) Output() *Tensor { return p.c.tensors[p.c.Stmt.LHS.Tensor] }

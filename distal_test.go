@@ -16,7 +16,7 @@ func TestFigure2Quickstart(t *testing.T) {
 	A := NewTensor("A", f, n, n).Zero()
 	B := NewTensor("B", f, n, n).FillRandom(1)
 	C := NewTensor("C", f, n, n).FillRandom(2)
-	comp := MustDefine("A(i,j) = B(i,k) * C(k,j)", m, A, B, C)
+	comp := NewSession(m).MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
 	comp.Schedule().
 		Divide("i", "io", "ii", gx).Divide("j", "jo", "ji", gy).
 		Reorder("io", "jo", "ii", "ji").
@@ -48,15 +48,15 @@ func TestFigure2Quickstart(t *testing.T) {
 
 func TestDefineErrors(t *testing.T) {
 	m := NewMachine(CPU, 2)
-	if _, err := Define("A(i) = B(i", m); err == nil {
+	if _, err := NewSession(m).Define("A(i) = B(i"); err == nil {
 		t.Fatal("parse error should surface")
 	}
 	A := NewTensor("A", MustFormat("x->x"), 4)
-	if _, err := Define("A(i) = B(i)", m, A); err == nil {
+	if _, err := NewSession(m).Define("A(i) = B(i)", A); err == nil {
 		t.Fatal("missing tensor should surface")
 	}
 	B := NewTensor("B", MustFormat("x->x"), 5)
-	if _, err := Define("A(i) = B(i)", m, A, B); err == nil {
+	if _, err := NewSession(m).Define("A(i) = B(i)", A, B); err == nil {
 		t.Fatal("shape mismatch should surface")
 	}
 }
@@ -66,7 +66,7 @@ func TestScheduleErrorSurfacesAtCompile(t *testing.T) {
 	f := MustFormat("x->x")
 	A := NewTensor("A", f, 4).Zero()
 	B := NewTensor("B", f, 4).FillRandom(1)
-	comp := MustDefine("A(i) = B(i)", m, A, B)
+	comp := NewSession(m).MustDefine("A(i) = B(i)", A, B)
 	comp.Schedule().Divide("nope", "a", "b", 2)
 	if _, err := comp.Compile(); err == nil {
 		t.Fatal("schedule error should surface at Compile")
@@ -78,7 +78,7 @@ func TestSimulateWithoutData(t *testing.T) {
 	f := MustFormat("xy->x")
 	A := NewTensor("A", f, 1024, 1024)
 	B := NewTensor("B", f, 1024, 1024)
-	comp := MustDefine("A(i,j) = B(i,j)", m, A, B)
+	comp := NewSession(m).MustDefine("A(i,j) = B(i,j)", A, B)
 	comp.Schedule().
 		Divide("i", "io", "ii", 4).
 		Reorder("io", "ii", "j").

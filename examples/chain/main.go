@@ -65,7 +65,7 @@ func gemmChain() {
 	const n, g = 64, 2
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g))
 	req := gemmRequest(n, g, n/g)
-	pp, err := sess.CompileProgram(context.Background(), req)
+	pp, err := sess.Compile(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,9 +79,9 @@ func gemmChain() {
 	}
 	ref := evaluate(req, map[string]*tensor.Dense{"A": a.Data, "B": b.Data, "C": c.Data})
 	fmt.Printf("stages %d (repartitions %d), inputs %v, output %s\n",
-		pp.Stages(), pp.Repartitions(), pp.Inputs(), pp.Output())
+		pp.Stages(), pp.Repartitions(), pp.Tensors(), pp.Output())
 	fmt.Printf("distributed chain matches reference: %v\n",
-		pb.Output().Data.EqualWithin(ref["E"], 1e-9))
+		pb.Output(0).Data.EqualWithin(ref["E"], 1e-9))
 
 	// At scale, compare the DAG against the sequential baseline: the same
 	// two stages, but with D gathered to the root after stage 1 and
@@ -91,7 +91,7 @@ func gemmChain() {
 	fmt.Printf("%-8s %-14s %-14s %-10s\n", "n", "dag GB", "seq GB", "saved")
 	for _, bign := range []int{2048, 4096, 8192} {
 		big := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
-		bp, err := big.CompileProgram(context.Background(), gemmRequest(bign, 4, 256))
+		bp, err := big.Compile(context.Background(), gemmRequest(bign, 4, 256))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func ttmMttkrp() {
 	const n, r, g = 16, 4, 2
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, g, g))
 	q := req(n, r, g, n/g)
-	pp, err := sess.CompileProgram(context.Background(), q)
+	pp, err := sess.Compile(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,9 +167,9 @@ func ttmMttkrp() {
 	}
 	ref := evaluate(q, map[string]*tensor.Dense{"B": b.Data, "C": c.Data, "D": d.Data})
 	fmt.Printf("stages %d (repartitions %d), inputs %v, output %s\n",
-		pp.Stages(), pp.Repartitions(), pp.Inputs(), pp.Output())
+		pp.Stages(), pp.Repartitions(), pp.Tensors(), pp.Output())
 	fmt.Printf("distributed TTM-MTTKRP matches reference: %v\n",
-		pb.Output().Data.EqualWithin(ref["A"], 1e-9))
+		pb.Output(0).Data.EqualWithin(ref["A"], 1e-9))
 
 	// At scale: the intermediate T holds n^2 r doubles — the DAG's saving is
 	// almost exactly the cost of round-tripping it through the root.
@@ -178,7 +178,7 @@ func ttmMttkrp() {
 	for _, bign := range []int{256, 512} {
 		const bigr = 32
 		big := distal.NewSession(distal.NewMachine(distal.CPU, 4, 4))
-		bp, err := big.CompileProgram(context.Background(), req(bign, bigr, 4, bign/4))
+		bp, err := big.Compile(context.Background(), req(bign, bigr, 4, bign/4))
 		if err != nil {
 			log.Fatal(err)
 		}

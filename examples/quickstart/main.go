@@ -110,5 +110,5 @@ func main() {
 	if _, err := binding.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("plan-bound real run produced %d values\n", binding.Output().Data.Size())
+	fmt.Printf("plan-bound real run produced %d values\n", binding.Output(0).Data.Size())
 }

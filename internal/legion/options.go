@@ -5,10 +5,8 @@ import (
 	"distal/internal/tensor"
 )
 
-// Option is a functional modifier of Options. The Run/Simulate/SimulateOpts
-// trio of earlier API revisions is consolidated into a single construction
-// path: NewOptions(params, mods...) builds the struct every execution
-// entrypoint consumes.
+// Option is a functional modifier of Options. Every execution entry point
+// consumes the struct NewOptions(params, mods...) builds.
 type Option func(*Options)
 
 // NewOptions builds execution options from a cost model plus modifiers.

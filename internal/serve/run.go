@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -18,11 +19,12 @@ import (
 )
 
 // handleRun is real execution over the wire: a data-free distal.Request
-// rides in the body's JSON section, input tensors follow as wire frames in
-// statement order (or are filled server-side), the plan resolves through
-// the session cache, Plan.Bind(...).Run executes on a worker slot under the
-// request deadline, and the computed output tensor streams back as one
-// frame with the run's metrics in Distal-* headers.
+// rides in the body's JSON section, the tensors the plan binds (Plan.Tensors:
+// a single statement's tensors, or a multi-statement request's leaf inputs)
+// follow as wire frames in that order (or are filled server-side), the plan
+// resolves through the session cache, Plan.BindBatch(...).Run executes on a
+// worker slot under the request deadline, and the computed output tensor
+// streams back as one frame with the run's metrics in Distal-* headers.
 //
 // Accepted bodies:
 //
@@ -30,7 +32,7 @@ import (
 //	application/json           bare wire.RunRequest, all inputs filled
 //
 // A "batch": N request executes N problem instances through one cached
-// plan in a single launch walk (Plan.BindBatch): frames arrive
+// plan in a single launch walk per stage: frames arrive
 // back-to-back in instance-major order, fills materialize per instance
 // (rand seeds offset by instance index), and the surviving instances'
 // output frames stream back concatenated in instance order with
@@ -114,113 +116,34 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	// Compile: the single-statement path resolves one plan, the
-	// multi-statement path a plan DAG. Both yield the same execution
-	// surface — the names to materialize per instance (frame order) and a
-	// batch runner — so the frame decode and response streaming below are
-	// shared.
-	var (
-		names    []string
-		planKey  string
-		cached   bool
-		output   string
-		compile  time.Duration
-		stages   []wire.StageInfo
-		runBatch func(surviving [][]*distal.Tensor) ([]*tensor.Dense, *distal.Result, error)
-	)
+	// Compile: one plan for either request form. Its Tensors are what each
+	// instance materializes, in frame order; every other stage output is
+	// allocated server-side by the binding.
+	stmts := make([]distal.Statement, len(q.Stmts))
+	for i, st := range q.Stmts {
+		stmts[i] = distal.Statement{Stmt: st.Stmt, Formats: st.Formats, Schedule: st.Schedule}
+	}
+	plan, err := s.sess.Compile(ctx, distal.Request{
+		Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule, Stmts: stmts,
+	})
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	names := plan.Tensors()
+	for name := range q.Inputs {
+		if !slices.Contains(names, name) {
+			s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
+				Err: fmt.Errorf("inputs names %s, which the request does not bind: its bound tensors (leaf inputs) are %s; computed tensors are server-allocated",
+					name, strings.Join(names, ", "))})
+			return
+		}
+	}
+	compile := plan.Stats().CompileTime
+	var stages []wire.StageInfo // Distal-Stages rides on multi-statement runs only
 	if len(q.Stmts) > 0 {
-		stmts := make([]distal.Statement, len(q.Stmts))
-		for i, st := range q.Stmts {
-			stmts[i] = distal.Statement{Stmt: st.Stmt, Formats: st.Formats, Schedule: st.Schedule}
-		}
-		pp, err := s.sess.CompileProgram(ctx, distal.Request{
-			Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule, Stmts: stmts,
-		})
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		// Only leaf inputs may carry directives: intermediates and the
-		// output are allocated server-side by the program binding.
-		names = pp.Inputs()
-		leaf := map[string]bool{}
-		for _, name := range names {
-			leaf[name] = true
-		}
-		for name := range q.Inputs {
-			if !leaf[name] {
-				s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
-					Err: fmt.Errorf("inputs names %s, which is not a leaf input of the program (computed tensors are server-allocated)", name)})
-				return
-			}
-		}
-		st := pp.Stats()
-		planKey, cached, output, compile = pp.Key(), st.Cached, pp.Output(), st.CompileTime
-		for _, sm := range pp.StageMetas() {
-			stages = append(stages, wire.StageInfo{
-				Output:   sm.Output,
-				PlanKey:  sm.PlanKey,
-				Cached:   sm.Cached,
-				Repart:   sm.Repart,
-				Launches: sm.Launches,
-				Points:   sm.Points,
-			})
-		}
-		runBatch = func(surviving [][]*distal.Tensor) ([]*tensor.Dense, *distal.Result, error) {
-			bb := pp.BindBatch(surviving...)
-			results, err := bb.Run(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			outs := make([]*tensor.Dense, bb.Len())
-			for i := range outs {
-				out := bb.Output(i)
-				if out == nil {
-					return nil, nil, &distal.Error{Kind: distal.KindExec, Op: "run",
-						Err: fmt.Errorf("program lost its output tensor %s", pp.Output())}
-				}
-				outs[i] = out.Data
-			}
-			return outs, results[0], nil
-		}
-	} else {
-		plan, err := s.sess.Compile(ctx, distal.Request{
-			Stmt: q.Stmt, Shapes: q.Shapes, Formats: q.Formats, Schedule: q.Schedule,
-		})
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		names = plan.Tensors()
-		known := map[string]bool{}
-		for _, name := range names {
-			known[name] = true
-		}
-		for name := range q.Inputs {
-			if !known[name] {
-				s.writeError(w, &distal.Error{Kind: distal.KindParse, Op: "run",
-					Err: fmt.Errorf("inputs names %s, which is not a tensor of %q", name, q.Stmt)})
-				return
-			}
-		}
-		st := plan.Stats()
-		planKey, cached, output, compile = plan.Key(), st.Cached, plan.Output(), st.CompileTime
-		runBatch = func(surviving [][]*distal.Tensor) ([]*tensor.Dense, *distal.Result, error) {
-			bb := plan.BindBatch(surviving...)
-			results, err := bb.Run(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			outs := make([]*tensor.Dense, bb.Len())
-			for i := range outs {
-				out := bb.Output(i)
-				if out == nil {
-					return nil, nil, &distal.Error{Kind: distal.KindExec, Op: "run",
-						Err: fmt.Errorf("plan lost its output tensor %s", plan.Output())}
-				}
-				outs[i] = out.Data
-			}
-			return outs, results[0], nil
+		for _, sm := range plan.StageMetas() {
+			stages = append(stages, wire.StageInfo(sm))
 		}
 	}
 
@@ -309,7 +232,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx = ectx
 	esp.SetAttr("instances", strconv.Itoa(len(surviving)))
 	t0 := time.Now()
-	outs, res, err := runBatch(surviving)
+	bound := plan.BindBatch(surviving...)
+	res, err := bound.Run(ctx)
 	esp.End()
 	if err != nil {
 		s.writeError(w, err)
@@ -322,9 +246,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.bytesInter.Add(float64(res.InterBytes))
 
 	stats := wire.RunStats{
-		PlanKey:      planKey,
-		Cached:       cached,
-		Output:       output,
+		PlanKey:      plan.Key(),
+		Cached:       plan.Stats().Cached,
+		Output:       plan.Output(),
 		TimeS:        res.Time,
 		GFlops:       res.GFlopsPerSec(),
 		Copies:       res.Copies,
@@ -367,8 +291,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	_, rsp := obs.Start(ctx, "stream-response")
 	defer rsp.End()
 	fw := &flushWriter{w: w}
-	for _, out := range outs {
-		if err := wire.Encode(fw, out); err != nil {
+	for i := range surviving {
+		if err := wire.Encode(fw, bound.Output(i).Data); err != nil {
 			// The status line is gone; all we can do is drop the connection
 			// so the client sees a truncated frame instead of a silent short
 			// read.

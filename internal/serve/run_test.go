@@ -145,7 +145,7 @@ func referenceRun(t *testing.T, c runCase, data map[string]*tensor.Dense) *tenso
 	if _, err := b.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return b.Output().Data
+	return b.Output(0).Data
 }
 
 func assertBitsEqual(t *testing.T, label string, got, want *tensor.Dense) {

@@ -1,11 +1,12 @@
 // Package serve is the HTTP/JSON front end of the DISTAL service: a thin,
 // dependency-free layer that turns distal.Session's plan-centric API into a
 // wire protocol. Requests arrive as pure data (statement, shapes, formats,
-// schedule — exactly distal.Request), compile through the session's plan
-// cache (concurrent identical requests share one compile via singleflight),
-// and execute under per-request deadlines on a bounded worker pool. The
-// structured error taxonomy maps onto HTTP status codes, so clients can
-// retry and report without parsing error strings.
+// schedule — exactly distal.Request, single-statement or a Stmts chain),
+// compile through Session.Compile into one distal.Plan (the plan cache and
+// its singleflight table share one compile among concurrent identical
+// requests), and execute under per-request deadlines on a bounded worker
+// pool. The structured error taxonomy maps onto HTTP status codes, so
+// clients can retry and report without parsing error strings.
 //
 // Endpoints:
 //
@@ -133,7 +134,6 @@ const (
 	mCacheHit  = "distal_plan_cache_hits_total"
 	mCacheMiss = "distal_plan_cache_misses_total"
 	mCacheLen  = "distal_plan_cache_entries"
-	mMemoLen   = "distal_plan_cache_memo_entries"
 	mUptime    = "distal_uptime_seconds"
 	mWorkers   = "distal_workers"
 )
@@ -181,14 +181,12 @@ func New(sess *distal.Session, cfg Config) *Server {
 	s.bytesInter = s.reg.Counter(mBytes, "Simulated bytes moved by runs.", []string{"class"}, "inter")
 	// The cache families read the session's counters at scrape time: one
 	// source of truth for /metrics and /v1/stats.
-	s.reg.CounterFunc(mCacheHit, "Plan-cache hits (memo, cache, and shared flights).", nil,
+	s.reg.CounterFunc(mCacheHit, "Plan-cache hits (cache and shared flights).", nil,
 		func() float64 { return float64(sess.CacheStats().Hits) })
 	s.reg.CounterFunc(mCacheMiss, "Plan-cache misses (compiler runs).", nil,
 		func() float64 { return float64(sess.CacheStats().Misses) })
 	s.reg.GaugeFunc(mCacheLen, "Cached plans resident.", nil,
 		func() float64 { return float64(sess.CacheStats().Entries) })
-	s.reg.GaugeFunc(mMemoLen, "Request-memo entries resident.", nil,
-		func() float64 { return float64(sess.CacheStats().MemoEntries) })
 	s.reg.GaugeFunc(mUptime, "Seconds since server start.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reg.GaugeFunc(mWorkers, "Worker-pool size.", nil,
@@ -763,10 +761,9 @@ type StatsResponse struct {
 	Workers  int     `json:"workers"`
 
 	Cache struct {
-		Hits        int64 `json:"hits"`
-		Misses      int64 `json:"misses"`
-		Entries     int   `json:"entries"`
-		MemoEntries int   `json:"memo_entries"`
+		Hits    int64 `json:"hits"`
+		Misses  int64 `json:"misses"`
+		Entries int   `json:"entries"`
 	} `json:"cache"`
 	ErrorsByKind map[string]int64 `json:"errors_by_kind,omitempty"`
 	// Endpoints breaks requests and failures down per endpoint.
@@ -793,7 +790,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cache.Hits = cs.Hits
 	resp.Cache.Misses = cs.Misses
 	resp.Cache.Entries = cs.Entries
-	resp.Cache.MemoEntries = cs.MemoEntries
 	resp.Endpoints = map[string]EndpointStats{}
 	s.reg.Each(mRequests, func(labels []string, v float64) {
 		ep := resp.Endpoints[labels[0]]

@@ -41,6 +41,7 @@ func (e *RunError) Error() string {
 // whose Inputs directive is "wire" (other entries are rejected: fills are
 // materialized server-side by design). The returned tensor is the streamed
 // output, named and shaped by the response; stats carry the run's metrics.
+// The response must end at its last frame: trailing bytes are an error.
 func (c *Client) Run(ctx context.Context, req RunRequest, data map[string]*tensor.Dense) (*tensor.Dense, *RunStats, error) {
 	if req.Batch != nil {
 		return nil, nil, fmt.Errorf("wire: request declares batch %d: use RunBatch", *req.Batch)
@@ -111,6 +112,9 @@ func (c *Client) Run(ctx context.Context, req RunRequest, data map[string]*tenso
 	out, err := DecodeLimit(resp.Body, limit)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: decoding response: %w", err)
+	}
+	if err := readEnd(resp.Body); err != nil {
+		return nil, nil, err
 	}
 	return out.Rename(stats.Output), &stats, nil
 }
@@ -266,7 +270,26 @@ func (c *Client) RunBatch(ctx context.Context, req RunRequest, batch []map[strin
 		}
 		out.Outputs[i] = t.Rename(out.Stats.Output)
 	}
+	if err := readEnd(resp.Body); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// readEnd reads a response body to its end and rejects any bytes after the
+// last frame. Reading to EOF consumes the terminating chunk, which the
+// server sends only once its handler has returned — so the request's trace
+// is published by then — and it leaves the connection reusable.
+func readEnd(body io.Reader) error {
+	var probe [1]byte
+	n, err := io.ReadFull(body, probe[:])
+	switch {
+	case n > 0:
+		return fmt.Errorf("wire: trailing data after the last response frame")
+	case err != io.EOF:
+		return fmt.Errorf("wire: reading the end of the response: %w", err)
+	}
+	return nil
 }
 
 // wireOrder returns the names of req's wire-marked inputs in frame order —

@@ -2,18 +2,17 @@ package distal
 
 import (
 	"context"
-	"fmt"
+	"strings"
 	"time"
 
 	"distal/internal/legion"
-	"distal/internal/tensor"
 )
 
-// planData is the immutable payload a Plan wraps and the plan cache stores:
-// the compiled runtime program plus the descriptive metadata a service wants
-// to report (schedule text, concrete index notation, program size). One
-// planData is shared by every Plan handle resolved from the cache; nothing
-// in it is mutated after compilation.
+// planData is the immutable payload the plan cache stores for one compiled
+// statement: the runtime program plus the descriptive metadata a service
+// wants to report (schedule text, concrete index notation, program size).
+// One planData is shared by every Plan stage resolved from the cache;
+// nothing in it is mutated after compilation.
 type planData struct {
 	prog         *legion.Program
 	scheduleText string
@@ -24,25 +23,12 @@ type planData struct {
 	points       int // total index-launch domain points
 }
 
-func newPlanData(prog *legion.Program, scheduleText, notation, output string, tensorNames []string) *planData {
-	pd := &planData{
-		prog:         prog,
-		scheduleText: scheduleText,
-		notation:     notation,
-		output:       output,
-		tensorNames:  tensorNames,
-		launches:     len(prog.Launches),
-	}
-	for _, l := range prog.Launches {
-		pd.points += l.Domain.Size()
-	}
-	return pd
-}
-
-// CompileStats describes how one Compile call was satisfied.
+// CompileStats describes how one Compile call was satisfied. For a
+// multi-stage plan it aggregates the stages: Cached only when every stage
+// was served without a compiler run, CompileTime/Launches/Points summed.
 type CompileStats struct {
 	// Cached reports the plan was served without running the compiler:
-	// from the plan cache, the request memo, or a shared in-flight compile.
+	// from the plan cache or a shared in-flight compile.
 	Cached bool
 	// Shared reports the plan came from a concurrent identical Compile call
 	// (singleflight): this caller waited for the leader instead of
@@ -58,10 +44,17 @@ type CompileStats struct {
 }
 
 // Plan is an immutable compiled workload: the unit a service compiles once,
-// caches, and executes many times. A Plan never holds data — Simulate walks
-// the task graph under the cost model, and Bind attaches caller-owned
-// tensors per execution — so one Plan is safe for concurrent use from any
-// number of goroutines.
+// caches, and executes many times. A plan is an ordered list of stages, each
+// one statement's cached program. A single-statement request compiles to a
+// one-stage plan; a multi-statement request (Request.Stmts) to a plan DAG
+// whose stages hand their distributed outputs to later stages in place,
+// with an explicit repartition stage wherever a producer and a consumer
+// disagree on an intermediate's layout — an intermediate never gathers to a
+// single leaf between stages.
+//
+// A Plan never holds data — Simulate walks the task graph under the cost
+// model, and Bind attaches caller-owned tensors per execution — so one Plan
+// is safe for concurrent use from any number of goroutines.
 //
 // The lifecycle is Compile → (Simulate | Bind.Run)*:
 //
@@ -69,154 +62,172 @@ type CompileStats struct {
 //	res, err := plan.Simulate(ctx)                  // analysis, no data
 //	res, err := plan.Bind(a, b, c).Run(ctx)        // real execution
 type Plan struct {
-	sess  *Session
-	key   string
-	data  *planData
-	stats CompileStats
+	sess   *Session
+	key    string
+	stages []stage
+	ls     []legion.Stage
+	binds  []string // the tensors a caller binds, in wire frame order
+	output string
+	stats  CompileStats
 }
 
-// Key returns the plan's cache key: a content hash over statement, shapes,
-// formats, schedule text, and machine (see core.PlanKey). Two requests with
-// equal keys compile to the same program.
+// stage is one execution stage of a Plan: a statement's cached program or
+// an inserted repartition, with the handoffs wiring it to earlier stages.
+type stage struct {
+	key     string
+	data    *planData
+	stats   CompileStats
+	inherit []legion.Handoff
+	repart  bool
+}
+
+func (s *Session) newPlan(key string, stages []stage, binds []string, output string) *Plan {
+	p := &Plan{sess: s, key: key, stages: stages, binds: binds, output: output, stats: CompileStats{Cached: true}}
+	for _, st := range stages {
+		p.ls = append(p.ls, legion.Stage{Prog: st.data.prog, Inherit: st.inherit, Label: st.data.output, Repart: st.repart})
+		p.stats.Cached = p.stats.Cached && st.stats.Cached
+		p.stats.Shared = p.stats.Shared || st.stats.Shared
+		p.stats.CompileTime += st.stats.CompileTime
+		p.stats.Launches += st.stats.Launches
+		p.stats.Points += st.stats.Points
+	}
+	return p
+}
+
+// Key returns the plan's cache key. A one-statement plan's key is the
+// content hash over statement, shapes, formats, schedule text, and machine
+// (see core.PlanKey); a multi-statement plan's key hashes its stage keys in
+// execution order. Two plans with equal keys execute identical programs.
 func (p *Plan) Key() string { return p.key }
 
-// ScheduleText returns the plan's schedule in serializable command form.
-func (p *Plan) ScheduleText() string { return p.data.scheduleText }
+// ScheduleText returns the plan's schedule in serializable command form,
+// one line per stage.
+func (p *Plan) ScheduleText() string {
+	return p.joinStages(func(pd *planData) string { return pd.scheduleText })
+}
 
-// Notation returns the concrete index notation of the scheduled statement
-// (the loop structure the compiler lowered, §5.1).
-func (p *Plan) Notation() string { return p.data.notation }
+// Notation returns the concrete index notation of the scheduled statements
+// (the loop structure the compiler lowered, §5.1), one line per stage.
+func (p *Plan) Notation() string {
+	return p.joinStages(func(pd *planData) string { return pd.notation })
+}
+
+func (p *Plan) joinStages(field func(*planData) string) string {
+	lines := make([]string, len(p.stages))
+	for i, st := range p.stages {
+		lines[i] = field(st.data)
+	}
+	return strings.Join(lines, "\n")
+}
 
 // Stats reports how this Compile call was satisfied and the program's size.
 func (p *Plan) Stats() CompileStats { return p.stats }
 
-// Tensors returns the names of the statement's tensors in statement order
-// (LHS first, then RHS tensors left to right, duplicates dropped) — the
-// canonical order wire protocols move tensor data in. The caller must not
-// mutate the returned slice.
-func (p *Plan) Tensors() []string { return p.data.tensorNames }
+// Tensors returns the names of the tensors an execution binds, in the
+// canonical order wire protocols move tensor data in (the frame order of
+// POST /v1/run): for a single-statement plan every tensor of the statement
+// (LHS first, then RHS tensors left to right, duplicates dropped), for a
+// multi-statement plan the leaf inputs in first-use order. The caller must
+// not mutate the returned slice.
+func (p *Plan) Tensors() []string { return p.binds }
 
-// Output returns the name of the statement's LHS tensor: the tensor a real
-// execution computes into.
-func (p *Plan) Output() string { return p.data.output }
+// Inputs is Tensors.
+//
+// Deprecated: use Tensors.
+func (p *Plan) Inputs() []string { return p.binds }
 
-// Shape returns the compiled shape of the named tensor, or nil when the
-// plan has no tensor of that name.
+// Output returns the name of the tensor a run answers with: the statement's
+// LHS, or the last statement's LHS of a multi-statement plan.
+func (p *Plan) Output() string { return p.output }
+
+// Shape returns the compiled shape of the named tensor (bound or computed
+// by a stage), or nil when the plan has no tensor of that name.
 func (p *Plan) Shape(name string) []int {
-	for _, r := range p.data.prog.Regions {
-		if r.Name == name {
-			return r.Shape
+	for _, st := range p.stages {
+		for _, r := range st.data.prog.Regions {
+			if r.Name == name {
+				return r.Shape
+			}
 		}
 	}
 	return nil
 }
 
-// Program exposes the plan's compiled program through the legacy Program
-// handle, for callers still on the pre-Plan execution surface.
-func (p *Plan) Program() *Program { return &Program{P: p.data.prog} }
+// Stages returns the number of execution stages, inserted repartitions
+// included.
+func (p *Plan) Stages() int { return len(p.stages) }
 
-func (p *Plan) execParams() Params {
-	if p.sess != nil {
-		return p.sess.params
+// Repartitions returns how many explicit layout-change stages the plan
+// carries (zero when every producer/consumer pair agreed on formats).
+func (p *Plan) Repartitions() int {
+	n := 0
+	for _, st := range p.stages {
+		if st.repart {
+			n++
+		}
 	}
-	return LassenCPU()
+	return n
+}
+
+// StageMeta describes one execution stage for reporting surfaces (the serve
+// layer's Distal-Stages header, CLI -v rows): static facts only — per-stage
+// wall time lives in the request trace.
+type StageMeta struct {
+	Output   string
+	PlanKey  string
+	Cached   bool
+	Repart   bool
+	Launches int
+	Points   int
+}
+
+// StageMetas returns one StageMeta per execution stage, repartitions
+// included, in execution order.
+func (p *Plan) StageMetas() []StageMeta {
+	out := make([]StageMeta, len(p.stages))
+	for i, st := range p.stages {
+		out[i] = StageMeta{
+			Output:   st.data.output,
+			PlanKey:  st.key,
+			Cached:   st.stats.Cached,
+			Repart:   st.repart,
+			Launches: st.stats.Launches,
+			Points:   st.stats.Points,
+		}
+	}
+	return out
+}
+
+// StagePlans returns each execution stage as a standalone one-stage plan,
+// in execution order (repartition stages included). A stage plan binds
+// every tensor of its statement, like a single-statement Compile.
+func (p *Plan) StagePlans() []*Plan {
+	plans := make([]*Plan, len(p.stages))
+	for i, st := range p.stages {
+		plans[i] = p.sess.newPlan(st.key, []stage{{key: st.key, data: st.data, stats: st.stats}},
+			st.data.tensorNames, st.data.output)
+	}
+	return plans
 }
 
 // Simulate executes the plan's task graph without data under the session's
-// cost model (override with WithCostModel), returning simulated time,
-// communication, and memory statistics. It aborts with KindCanceled at the
-// runtime's next cancellation checkpoint once ctx is done.
+// cost model (override with WithCostModel): stages run in order on one
+// simulated clock, intermediates hand off in place, and the metrics
+// (makespan, communication, peak memory) cover the whole plan. It aborts
+// with KindCanceled at the runtime's next cancellation checkpoint once ctx
+// is done.
 func (p *Plan) Simulate(ctx context.Context, opts ...ExecOption) (*Result, error) {
+	return p.exec(ctx, "simulate", opts)
+}
+
+// exec runs the plan's stages under the session's cost model.
+func (p *Plan) exec(ctx context.Context, op string, opts []ExecOption) (*Result, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "simulate", err)
+		return nil, wrapErr(KindCanceled, op, err)
 	}
-	res, err := legion.RunContext(ctx, p.data.prog, legion.NewOptions(p.execParams(), opts...))
+	res, err := legion.RunStages(ctx, p.ls, legion.NewOptions(p.sess.params, opts...))
 	if err != nil {
-		return nil, wrapErr(KindExec, "simulate", err)
-	}
-	return res, nil
-}
-
-// Bind attaches real data to the plan for one or more executions. Every
-// tensor of the statement must be bound with data (allocate with Zero,
-// FillRandom, or Bind), shapes must match the compiled plan, and the
-// binding lives entirely in the returned Binding — the shared plan is not
-// touched, so concurrent executions on different data do not interfere.
-// Binding errors surface at Run.
-func (p *Plan) Bind(tensors ...*Tensor) *Binding {
-	b := &Binding{plan: p, data: map[string]*tensor.Dense{}}
-	regions := map[string][]int{}
-	for _, r := range p.data.prog.Regions {
-		regions[r.Name] = r.Shape
-	}
-	for _, t := range tensors {
-		shape, ok := regions[t.Name]
-		if !ok {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("plan has no tensor %s", t.Name))
-			return b
-		}
-		if t.Data == nil {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has no data (use Zero, FillRandom, or Bind)", t.Name))
-			return b
-		}
-		if len(t.Shape) != len(shape) {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has rank %d, plan wants %d", t.Name, len(t.Shape), len(shape)))
-			return b
-		}
-		for d := range shape {
-			if t.Shape[d] != shape[d] {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has shape %v, plan wants %v", t.Name, t.Shape, shape))
-				return b
-			}
-		}
-		b.data[t.Name] = t.Data
-		if t.Name == p.data.output {
-			b.out = t
-		}
-	}
-	for name := range regions {
-		if _, ok := b.data[name]; !ok {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("no data bound for tensor %s", name))
-			return b
-		}
-	}
-	return b
-}
-
-// Binding is a Plan with real data attached: the executable form of one
-// Real-mode workload. A Binding is cheap; make one per data set.
-type Binding struct {
-	plan *Plan
-	data map[string]*tensor.Dense
-	out  *Tensor
-	err  error
-}
-
-// Output returns the bound output tensor (after Run it holds the result),
-// or nil when the binding failed.
-func (b *Binding) Output() *Tensor {
-	if b.err != nil {
-		return nil
-	}
-	return b.out
-}
-
-// Run executes the plan on the bound data and returns the simulated timing
-// alongside: leaf kernels compute on the tensors, reductions flush into the
-// output, and the task graph is priced under the session's cost model. It
-// aborts with KindCanceled at the runtime's next checkpoint once ctx is
-// done (the bound output is then in an unspecified partial state).
-func (b *Binding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "run", err)
-	}
-	mods := append([]ExecOption{WithReal(), legion.WithData(b.data)}, opts...)
-	res, err := legion.RunContext(ctx, b.plan.data.prog, legion.NewOptions(b.plan.execParams(), mods...))
-	if err != nil {
-		return nil, wrapErr(KindExec, "run", err)
+		return nil, wrapErr(KindExec, op, err)
 	}
 	return res, nil
 }

@@ -10,58 +10,29 @@ import (
 	"distal/internal/legion"
 	"distal/internal/obs"
 	"distal/internal/program"
-	"distal/internal/tensor"
 )
 
-// ProgramPlan is a compiled multi-statement program: one immutable plan per
-// statement (each resolved through the session's plan cache and
-// singleflight, exactly as a single-statement Compile would), wired into a
-// DAG that executes stage by stage with intermediates kept distributed in
-// between. A producer's output instances are handed to the consumer as
-// pre-placed initial instances; when producer and consumer disagree on an
-// intermediate's format, an explicit repartition stage (the Redistribute
-// schedule, itself a cached plan) moves the data owner-to-owner — an
-// intermediate never gathers to a single leaf between stages.
+// CompileProgram compiles a request into a Plan.
 //
-// Like Plan, a ProgramPlan is data-free and safe for concurrent use: bind
-// leaf-input data per execution with Bind or BindBatch; intermediates and
-// outputs are allocated privately per binding.
-type ProgramPlan struct {
-	sess   *Session
-	prog   *program.Program
-	stages []*programStage
-	ls     []legion.Stage
-	key    string
-	stats  CompileStats
+// Deprecated: use Compile, which accepts both request forms.
+func (s *Session) CompileProgram(ctx context.Context, req Request) (*Plan, error) {
+	return s.Compile(ctx, req)
 }
 
-// programStage is one stage of the compiled DAG: a source statement's plan
-// or an inserted repartition, with the handoffs wiring it to earlier stages.
-type programStage struct {
-	plan    *Plan
-	inherit []legion.Handoff
-	output  string // this stage's LHS region: allocated per execution
-	shape   []int
-	repart  bool // an inserted repartition, not a source statement
-}
-
-// CompileProgram compiles a multi-statement request into a ProgramPlan.
-// req.Stmts carries the statements (with per-statement formats and
-// schedules) and req.Shapes declares the leaf inputs only — intermediate
-// shapes are inferred from their producers, and a Shapes entry for an
-// assigned tensor (equivalently, an intermediate name colliding with an
-// input's) is rejected as KindParse. Each stage compiles through the
-// session's plan cache, so re-compiling a program whose statements were
-// seen before costs no compiler run at all, and two programs sharing a
-// statement share its plan.
-func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan, error) {
+// compileProgram is Compile for a multi-statement request: req.Stmts
+// carries the statements (with per-statement formats and schedules) and
+// req.Shapes declares the leaf inputs only — intermediate shapes are
+// inferred from their producers, and a Shapes entry for an assigned tensor
+// (equivalently, an intermediate name colliding with an input's) is
+// rejected as KindParse. Each stage compiles exactly as a single-statement
+// request would, through the plan cache, so re-compiling a program whose
+// statements were seen before costs no compiler run at all, and two
+// programs sharing a statement share its cached program.
+func (s *Session) compileProgram(ctx context.Context, req Request) (*Plan, error) {
 	ctx, sp := obs.Start(ctx, "compile-program")
 	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr(KindCanceled, "compile-program", err)
-	}
-	if len(req.Stmts) == 0 {
-		return nil, wrapErr(KindParse, "compile-program", fmt.Errorf("request has no statements (put them in Stmts)"))
 	}
 	if req.Stmt != "" || req.Schedule != "" || len(req.Formats) > 0 {
 		return nil, wrapErr(KindParse, "compile-program",
@@ -87,7 +58,7 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		region string // region name in that stage's program
 	}
 	var (
-		built    []*programStage
+		built    []stage
 		placedAt = map[string]placed{} // name + "\x00" + canonical format -> location
 		builtOf  = map[string]int{}    // assigned tensor -> producing stage index
 		fmtOf    = map[string]string{} // assigned tensor -> canonical producer format
@@ -100,7 +71,7 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		canon := map[string]string{}
 		for _, name := range assign.TensorNames() {
 			stageShapes[name] = prog.Shapes[name]
-			_, c, ferr := effectiveFormat(st.Src.Formats, name, len(prog.Shapes[name]))
+			c, ferr := effectiveFormat(st.Src.Formats, name, len(prog.Shapes[name]))
 			if ferr != nil {
 				return nil, wrapErr(KindParse, "compile-program", fmt.Errorf("statement %d: %w", st.Index, ferr))
 			}
@@ -127,7 +98,7 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 					if rerr != nil {
 						return nil, rerr
 					}
-					loc = placed{idx: len(built), region: rst.output}
+					loc = placed{idx: len(built), region: rst.data.output}
 					built = append(built, rst)
 					placedAt[key] = loc
 				}
@@ -146,7 +117,7 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		sctx, ssp := obs.Start(ctx, "compile-stage")
 		ssp.SetAttr("statement", fmt.Sprint(st.Index))
 		ssp.SetAttr("output", lhs)
-		plan, cerr := s.Compile(sctx, Request{
+		cst, cerr := s.compileStage(sctx, Request{
 			Stmt:     st.Src.Stmt,
 			Shapes:   stageShapes,
 			Formats:  st.Src.Formats,
@@ -157,12 +128,8 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 			return nil, &Error{Kind: KindOf(cerr), Op: "compile-program", Err: fmt.Errorf("statement %d: %w", st.Index, cerr)}
 		}
 		idx := len(built)
-		built = append(built, &programStage{
-			plan:    plan,
-			inherit: inherit,
-			output:  lhs,
-			shape:   prog.Shapes[lhs],
-		})
+		cst.inherit = inherit
+		built = append(built, cst)
 		for _, key := range freshLeaves {
 			name := key[:strings.IndexByte(key, 0)]
 			placedAt[key] = placed{idx: idx, region: name}
@@ -172,57 +139,57 @@ func (s *Session) CompileProgram(ctx context.Context, req Request) (*ProgramPlan
 		placedAt[layoutKey(lhs, canon[lhs])] = placed{idx: idx, region: lhs}
 	}
 
-	pp := &ProgramPlan{sess: s, prog: prog, stages: built, stats: CompileStats{Cached: true}}
 	h := sha256.New()
 	for _, st := range built {
-		pp.ls = append(pp.ls, legion.Stage{Prog: st.plan.data.prog, Inherit: st.inherit, Label: st.output, Repart: st.repart})
-		h.Write([]byte(st.plan.key))
+		h.Write([]byte(st.key))
 		h.Write([]byte{0})
-		sst := st.plan.stats
-		if !sst.Cached {
-			pp.stats.Cached = false
-		}
-		if sst.Shared {
-			pp.stats.Shared = true
-		}
-		pp.stats.CompileTime += sst.CompileTime
-		pp.stats.Launches += sst.Launches
-		pp.stats.Points += sst.Points
 	}
-	pp.key = hex.EncodeToString(h.Sum(nil))
-	return pp, nil
+	return s.newPlan(hex.EncodeToString(h.Sum(nil)), built, prog.Inputs(), prog.Output()), nil
 }
 
-// effectiveFormat resolves the format a stage places tensor name under: the
-// statement's annotation when present, the canonical tiling of the rank
-// otherwise. It returns the source text and the canonical rendering
-// (distribution notation normalizes through Placement.String, so two
-// annotations spelled differently but placing identically compare equal).
-func effectiveFormat(formats map[string]string, name string, rank int) (text, canon string, err error) {
+// effectiveFormat resolves the canonical rendering of the format a stage
+// places tensor name under: the statement's annotation when present, the
+// canonical tiling of the rank otherwise (distribution notation normalizes
+// through Placement.String, so two annotations spelled differently but
+// placing identically compare equal).
+func effectiveFormat(formats map[string]string, name string, rank int) (string, error) {
 	if src, ok := formats[name]; ok {
 		f, err := ParseFormat(src)
 		if err != nil {
-			return "", "", fmt.Errorf("tensor %s: %w", name, err)
+			return "", fmt.Errorf("tensor %s: %w", name, err)
 		}
-		return src, f.Placement.String(), nil
+		return f.Placement.String(), nil
 	}
 	if rank > 6 {
-		return "", "", fmt.Errorf("tensor %s has rank %d; the default tiling supports ranks up to 6 (give a Formats entry)", name, rank)
+		return "", fmt.Errorf("tensor %s has rank %d; the default tiling supports ranks up to 6 (give a Formats entry)", name, rank)
 	}
-	c := Tiled(rank).Placement.String()
-	return c, c, nil
+	return Tiled(rank).Placement.String(), nil
+}
+
+// layoutChange returns the statement and schedule of the program that
+// copies tensor src into dst (same shape, each under its own format):
+// the identity statement, scheduled owner-computes over the destination —
+// the leading dimension distributed across all procs leaf processors and
+// all communication aggregated at the task level. This is correct for any
+// (src, dst) placement pair: reads gather from the source owners, writes
+// flush to the destination owners, so the runtime performs exactly the
+// copies the layout change requires.
+func layoutChange(dst, src string, rank, procs int) (stmt, sched string) {
+	vars := []string{"i", "j", "k", "l", "u", "v"}[:rank]
+	idx := strings.Join(vars, ",")
+	stmt = fmt.Sprintf("%s(%s) = %s(%s)", dst, idx, src, idx)
+	sched = fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
+		vars[0], procs, strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","), dst, src)
+	return stmt, sched
 }
 
 // repartitionStage compiles the explicit layout change between a producer's
-// format and a consumer's: the Redistribute identity statement, placed
-// src-format in and dst-format out, scheduled owner-computes over the
-// destination — so the runtime performs exactly the owner-to-owner copies
-// the layout change requires. The stage's plan resolves through the plan
-// cache like any other, and its input region adopts the producer's
-// instances directly.
-func (s *Session) repartitionStage(ctx context.Context, name string, shape []int, srcFmt, dstFmt string, from int, taken map[string]bool) (*programStage, error) {
+// format and a consumer's (see layoutChange), placed src-format in and
+// dst-format out. The stage resolves through the plan cache like any other,
+// and its input region adopts the producer's instances directly.
+func (s *Session) repartitionStage(ctx context.Context, name string, shape []int, srcFmt, dstFmt string, from int, taken map[string]bool) (stage, error) {
 	if len(shape) == 0 || len(shape) > 6 {
-		return nil, wrapErr(KindParse, "compile-program",
+		return stage{}, wrapErr(KindParse, "compile-program",
 			fmt.Errorf("intermediate %s has rank %d; repartitioning supports ranks 1..6", name, len(shape)))
 	}
 	rname := name + "__r"
@@ -230,303 +197,21 @@ func (s *Session) repartitionStage(ctx context.Context, name string, shape []int
 		rname = fmt.Sprintf("%s__r%d", name, i)
 	}
 	taken[rname] = true
-	vars := []string{"i", "j", "k", "l", "u", "v"}[:len(shape)]
-	idx := strings.Join(vars, ",")
-	stmt := fmt.Sprintf("%s(%s) = %s(%s)", rname, idx, name, idx)
-	sched := fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
-		vars[0], s.machine.Processors(),
-		strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","),
-		rname, name)
+	stmt, sched := layoutChange(rname, name, len(shape), s.machine.Processors())
 	ctx, rsp := obs.Start(ctx, "compile-repartition")
 	rsp.SetAttr("tensor", name)
 	defer rsp.End()
-	plan, err := s.Compile(ctx, Request{
+	st, err := s.compileStage(ctx, Request{
 		Stmt:     stmt,
 		Shapes:   map[string][]int{name: shape, rname: shape},
 		Formats:  map[string]string{name: srcFmt, rname: dstFmt},
 		Schedule: sched,
 	})
 	if err != nil {
-		return nil, &Error{Kind: KindOf(err), Op: "compile-program",
+		return stage{}, &Error{Kind: KindOf(err), Op: "compile-program",
 			Err: fmt.Errorf("repartitioning %s from %q to %q: %w", name, srcFmt, dstFmt, err)}
 	}
-	return &programStage{
-		plan:    plan,
-		inherit: []legion.Handoff{{From: from, Region: name, To: name}},
-		output:  rname,
-		shape:   shape,
-		repart:  true,
-	}, nil
-}
-
-// Key returns the program plan's cache key: a hash over the stage plan keys
-// in execution order (repartition stages included), so two programs with
-// equal keys execute identical DAGs.
-func (p *ProgramPlan) Key() string { return p.key }
-
-// Stats aggregates the per-stage compile stats: Cached only when every
-// stage was served without a compiler run, CompileTime/Launches/Points
-// summed across stages.
-func (p *ProgramPlan) Stats() CompileStats { return p.stats }
-
-// Stages returns the number of execution stages, inserted repartitions
-// included.
-func (p *ProgramPlan) Stages() int { return len(p.stages) }
-
-// Repartitions returns how many explicit layout-change stages the DAG
-// carries (zero when every producer/consumer pair agreed on formats).
-func (p *ProgramPlan) Repartitions() int {
-	n := 0
-	for _, st := range p.stages {
-		if st.repart {
-			n++
-		}
-	}
-	return n
-}
-
-// StageMeta describes one execution stage of the DAG for reporting surfaces
-// (the serve layer's Distal-Stages header, CLI -v rows): static facts only —
-// per-stage wall time lives in the request trace.
-type StageMeta struct {
-	Output   string
-	PlanKey  string
-	Cached   bool
-	Repart   bool
-	Launches int
-	Points   int
-}
-
-// StageMetas returns one StageMeta per execution stage, repartitions
-// included, in execution order.
-func (p *ProgramPlan) StageMetas() []StageMeta {
-	out := make([]StageMeta, len(p.stages))
-	for i, st := range p.stages {
-		sst := st.plan.Stats()
-		out[i] = StageMeta{
-			Output:   st.output,
-			PlanKey:  st.plan.Key(),
-			Cached:   sst.Cached,
-			Repart:   st.repart,
-			Launches: sst.Launches,
-			Points:   sst.Points,
-		}
-	}
-	return out
-}
-
-// StagePlans returns the per-stage plans in execution order (repartition
-// stages included). The caller must not mutate the returned slice.
-func (p *ProgramPlan) StagePlans() []*Plan {
-	plans := make([]*Plan, len(p.stages))
-	for i, st := range p.stages {
-		plans[i] = st.plan
-	}
-	return plans
-}
-
-// Inputs returns the program's leaf inputs in first-use order — the tensors
-// an execution binds (and the wire frame order of POST /v1/run). The caller
-// must not mutate the returned slice.
-func (p *ProgramPlan) Inputs() []string { return p.prog.Inputs() }
-
-// Output returns the last statement's LHS: the tensor a run answers with.
-func (p *ProgramPlan) Output() string { return p.prog.Output() }
-
-// Shape returns the shape of the named tensor (leaf inputs as declared,
-// assigned tensors as inferred), or nil for unknown names.
-func (p *ProgramPlan) Shape(name string) []int { return p.prog.Shapes[name] }
-
-func (p *ProgramPlan) execParams() Params {
-	if p.sess != nil {
-		return p.sess.params
-	}
-	return LassenCPU()
-}
-
-// Simulate executes the plan DAG without data under the session's cost
-// model: stages run in order on one simulated clock, intermediates hand off
-// in place, and the combined metrics (makespan, communication, peak memory)
-// cover the whole program.
-func (p *ProgramPlan) Simulate(ctx context.Context, opts ...ExecOption) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "simulate", err)
-	}
-	res, err := legion.RunStages(ctx, p.ls, legion.NewOptions(p.execParams(), opts...))
-	if err != nil {
-		return nil, wrapErr(KindExec, "simulate", err)
-	}
-	return res, nil
-}
-
-// Bind attaches real data for one execution. Exactly the leaf inputs are
-// bound — every intermediate and output is allocated privately by the
-// binding, so concurrent executions never share state; read the result from
-// Output (or any intermediate from Tensor) after Run. Binding errors
-// surface at Run.
-func (p *ProgramPlan) Bind(tensors ...*Tensor) *ProgramBinding {
-	b := &ProgramBinding{plan: p, data: map[string]*tensor.Dense{}}
-	leaf := map[string]bool{}
-	for _, name := range p.prog.Inputs() {
-		leaf[name] = true
-	}
-	for _, t := range tensors {
-		if !leaf[t.Name] {
-			if p.prog.Shapes[t.Name] != nil {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s is computed by the program; bind leaf inputs only", t.Name))
-			} else {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("program has no tensor %s", t.Name))
-			}
-			return b
-		}
-		if t.Data == nil {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has no data (use Zero, FillRandom, or Bind)", t.Name))
-			return b
-		}
-		want := p.prog.Shapes[t.Name]
-		got := t.Data.Shape()
-		if len(got) != len(want) {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has rank %d, program wants %d", t.Name, len(got), len(want)))
-			return b
-		}
-		for d := range want {
-			if got[d] != want[d] {
-				b.err = wrapErr(KindExec, "bind", fmt.Errorf("tensor %s has shape %v, program wants %v", t.Name, got, want))
-				return b
-			}
-		}
-		b.data[t.Name] = t.Data
-	}
-	for _, name := range p.prog.Inputs() {
-		if _, ok := b.data[name]; !ok {
-			b.err = wrapErr(KindExec, "bind", fmt.Errorf("no data bound for leaf input %s", name))
-			return b
-		}
-	}
-	for _, st := range p.stages {
-		d := tensor.New(st.output, st.shape...)
-		b.data[st.output] = d
-		if st.output == p.prog.Output() {
-			b.out = &Tensor{Name: st.output, Shape: append([]int(nil), st.shape...), Data: d}
-		}
-	}
-	return b
-}
-
-// ProgramBinding is a ProgramPlan with real data attached: leaf inputs from
-// the caller, intermediates and outputs owned by the binding.
-type ProgramBinding struct {
-	plan *ProgramPlan
-	data map[string]*tensor.Dense
-	out  *Tensor
-	err  error
-}
-
-// Output returns the output tensor (after Run it holds the result), or nil
-// when the binding failed.
-func (b *ProgramBinding) Output() *Tensor {
-	if b.err != nil {
-		return nil
-	}
-	return b.out
-}
-
-// Tensor returns the bound or allocated data of any tensor of the program —
-// leaf inputs, intermediates, and outputs alike — or nil for unknown names
-// or failed bindings. After Run, an intermediate's tensor holds the value
-// its producing stage computed.
-func (b *ProgramBinding) Tensor(name string) *tensor.Dense {
-	if b.err != nil {
-		return nil
-	}
-	return b.data[name]
-}
-
-// Run executes the plan DAG on the bound data: stages run in order,
-// consumers read the producers' distributed results in place (through the
-// repartition stages where layouts disagreed), and the returned Result
-// carries the combined simulated metrics. It aborts with KindCanceled at
-// the runtime's next checkpoint once ctx is done (intermediates and the
-// output are then in an unspecified partial state).
-func (b *ProgramBinding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "run", err)
-	}
-	mods := append([]ExecOption{WithReal(), legion.WithData(b.data)}, opts...)
-	res, err := legion.RunStages(ctx, b.plan.ls, legion.NewOptions(b.plan.execParams(), mods...))
-	if err != nil {
-		return nil, wrapErr(KindExec, "run", err)
-	}
-	return res, nil
-}
-
-// ProgramBatchBinding is a ProgramPlan bound to N independent problem
-// instances: one launch walk per stage covers the whole batch, with each
-// instance's intermediates and outputs private to it.
-type ProgramBatchBinding struct {
-	plan  *ProgramPlan
-	insts []map[string]*tensor.Dense
-	outs  []*Tensor
-	err   error
-}
-
-// BindBatch attaches leaf-input data for N problem instances, one tensor
-// set per instance, validated exactly as Bind validates a single set.
-// Instances may share input tensors; intermediates and outputs are
-// allocated per instance, so they can never race. Binding errors surface at
-// Run.
-func (p *ProgramPlan) BindBatch(instances ...[]*Tensor) *ProgramBatchBinding {
-	bb := &ProgramBatchBinding{plan: p}
-	if len(instances) == 0 {
-		bb.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("empty batch: bind at least one instance"))
-		return bb
-	}
-	for i, ts := range instances {
-		b := p.Bind(ts...)
-		if b.err != nil {
-			bb.err = &Error{Kind: KindOf(b.err), Op: "bind-batch", Err: fmt.Errorf("instance %d: %w", i, b.err)}
-			return bb
-		}
-		bb.insts = append(bb.insts, b.data)
-		bb.outs = append(bb.outs, b.out)
-	}
-	return bb
-}
-
-// Len returns the number of bound instances (0 when the binding failed).
-func (bb *ProgramBatchBinding) Len() int { return len(bb.insts) }
-
-// Output returns instance i's output tensor (after Run it holds that
-// instance's result), or nil when the binding failed or i is out of range.
-func (bb *ProgramBatchBinding) Output(i int) *Tensor {
-	if bb.err != nil || i < 0 || i >= len(bb.outs) {
-		return nil
-	}
-	return bb.outs[i]
-}
-
-// Run executes the plan DAG on every bound instance in one walk per stage
-// and returns one Result per instance (identical metrics: the accounting
-// runs once, as with Plan batching).
-func (bb *ProgramBatchBinding) Run(ctx context.Context, opts ...ExecOption) ([]*Result, error) {
-	if bb.err != nil {
-		return nil, bb.err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "run-batch", err)
-	}
-	mods := append([]ExecOption{WithReal(), legion.WithBatch(bb.insts)}, opts...)
-	res, err := legion.RunStages(ctx, bb.plan.ls, legion.NewOptions(bb.plan.execParams(), mods...))
-	if err != nil {
-		return nil, wrapErr(KindExec, "run-batch", err)
-	}
-	out := make([]*Result, len(bb.insts))
-	for i := range out {
-		r := *res
-		out[i] = &r
-	}
-	return out, nil
+	st.inherit = []legion.Handoff{{From: from, Region: name, To: name}}
+	st.repart = true
+	return st, nil
 }

@@ -2,6 +2,7 @@ package distal
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,9 +91,9 @@ func TestCompileProgramValidation(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := sess.CompileProgram(context.Background(), tc.req)
+			_, err := sess.Compile(context.Background(), tc.req)
 			if err == nil {
-				t.Fatalf("CompileProgram succeeded, want error containing %q", tc.want)
+				t.Fatalf("Compile succeeded, want error containing %q", tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
@@ -104,14 +105,66 @@ func TestCompileProgramValidation(t *testing.T) {
 	}
 }
 
-func TestCompileRejectsStmts(t *testing.T) {
+// TestOneStatementFormsEquivalent: a statement compiled as Request{Stmt}
+// and as a one-entry Request{Stmts} resolves to the same stage plan (the
+// second compile is a plan-cache hit), simulates to identical metrics, and
+// runs to bit-identical outputs.
+func TestOneStatementFormsEquivalent(t *testing.T) {
+	const n = 32
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	_, err := sess.Compile(context.Background(), chainRequest(32))
-	if err == nil {
-		t.Fatal("Compile accepted a multi-statement request")
+	ctx := context.Background()
+	formats := map[string]string{"A": "xy->xy", "B": "xy->xy", "D": "xy->xy"}
+	single, err := sess.Compile(ctx, Request{
+		Stmt:     "D(i,j) = A(i,k) * B(k,j)",
+		Shapes:   map[string][]int{"A": {n, n}, "B": {n, n}, "D": {n, n}},
+		Formats:  formats,
+		Schedule: chainSchedule("D", "A", "B"),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if KindOf(err) != KindParse || !strings.Contains(err.Error(), "CompileProgram") {
-		t.Fatalf("error = %v, want KindParse pointing at CompileProgram", err)
+	staged, err := sess.Compile(ctx, Request{
+		Shapes: map[string][]int{"A": {n, n}, "B": {n, n}},
+		Stmts:  []Statement{{Stmt: "D(i,j) = A(i,k) * B(k,j)", Formats: formats, Schedule: chainSchedule("D", "A", "B")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := staged.StageMetas(); len(got) != 1 || got[0].PlanKey != single.Key() {
+		t.Fatalf("staged form resolved to stages %+v, want the one stage %s", got, single.Key())
+	}
+	if !staged.Stats().Cached {
+		t.Fatal("staged form of a compiled statement missed the plan cache")
+	}
+	if st := sess.CacheStats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and 1 hit", st)
+	}
+
+	simSingle, err := single.Simulate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simStaged, err := staged.Simulate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(simSingle, simStaged) {
+		t.Fatalf("simulated metrics differ:\n single %+v\n staged %+v", simSingle, simStaged)
+	}
+
+	tiled := MustFormat("xy->xy")
+	a := NewTensor("A", tiled, n, n).FillRandom(1)
+	b := NewTensor("B", tiled, n, n).FillRandom(2)
+	bs := single.Bind(NewTensor("D", tiled, n, n).Zero(), a, b)
+	if _, err := bs.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	bt := staged.Bind(a, b)
+	if _, err := bt.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if diff := bs.Output(0).Data.MaxAbsDiff(bt.Output(0).Data); diff != 0 {
+		t.Fatalf("outputs differ: max abs diff %g", diff)
 	}
 }
 
@@ -124,12 +177,12 @@ func TestProgramDifferential(t *testing.T) {
 	const n = 32
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(pp.Inputs(), ","); got != "A,B,C" {
-		t.Fatalf("Inputs = %s, want A,B,C", got)
+	if got := strings.Join(pp.Tensors(), ","); got != "A,B,C" {
+		t.Fatalf("Tensors = %s, want A,B,C", got)
 	}
 	if pp.Output() != "E" || pp.Stages() != 2 || pp.Repartitions() != 0 {
 		t.Fatalf("plan shape: output=%s stages=%d reparts=%d, want E/2/0",
@@ -182,10 +235,10 @@ func TestProgramDifferential(t *testing.T) {
 			t.Fatalf("workers=%d: seq stage 2: %v", workers, err)
 		}
 
-		if diff := pb.Tensor("D").MaxAbsDiff(d.Data); diff != 0 {
+		if diff := pb.Tensor(0, "D").MaxAbsDiff(d.Data); diff != 0 {
 			t.Fatalf("workers=%d: intermediate D differs from standalone stage: max abs diff %g", workers, diff)
 		}
-		if diff := pb.Output().Data.MaxAbsDiff(e.Data); diff != 0 {
+		if diff := pb.Output(0).Data.MaxAbsDiff(e.Data); diff != 0 {
 			t.Fatalf("workers=%d: output E differs from sequential baseline: max abs diff %g", workers, diff)
 		}
 
@@ -203,9 +256,9 @@ func TestProgramDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pb.Output().Data.EqualWithin(ref["E"], 1e-9) {
+		if !pb.Output(0).Data.EqualWithin(ref["E"], 1e-9) {
 			t.Fatalf("workers=%d: DAG output diverges from reference: max abs diff %g",
-				workers, pb.Output().Data.MaxAbsDiff(ref["E"]))
+				workers, pb.Output(0).Data.MaxAbsDiff(ref["E"]))
 		}
 	}
 }
@@ -218,7 +271,7 @@ func TestProgramSimBeatsSequential(t *testing.T) {
 	const n = 256
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +329,14 @@ func TestProgramSimBeatsSequential(t *testing.T) {
 func TestProgramPlanCaching(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp1, err := sess.CompileProgram(ctx, chainRequest(64))
+	pp1, err := sess.Compile(ctx, chainRequest(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pp1.Stats().Cached {
 		t.Fatal("first compile reported cached")
 	}
-	pp2, err := sess.CompileProgram(ctx, chainRequest(64))
+	pp2, err := sess.Compile(ctx, chainRequest(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +364,7 @@ func TestProgramRepartition(t *testing.T) {
 				Formats: map[string]string{"D": "xy->x*", "C": "xy->xy", "E": "xy->xy"}},
 		},
 	}
-	pp, err := sess.CompileProgram(ctx, req)
+	pp, err := sess.Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +390,9 @@ func TestProgramRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pb.Output().Data.EqualWithin(ref["E"], 1e-9) {
+	if !pb.Output(0).Data.EqualWithin(ref["E"], 1e-9) {
 		t.Fatalf("repartitioned chain diverges from reference: max abs diff %g",
-			pb.Output().Data.MaxAbsDiff(ref["E"]))
+			pb.Output(0).Data.MaxAbsDiff(ref["E"]))
 	}
 }
 
@@ -348,7 +401,7 @@ func TestProgramRepartition(t *testing.T) {
 func TestProgramBindErrors(t *testing.T) {
 	const n = 16
 	sess := NewSession(NewMachine(CPU, 2, 2))
-	pp, err := sess.CompileProgram(context.Background(), chainRequest(n))
+	pp, err := sess.Compile(context.Background(), chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +416,7 @@ func TestProgramBindErrors(t *testing.T) {
 	}{
 		{"computed tensor", []*Tensor{a, b, c, NewTensor("D", tiled, n, n).Zero()}, "computed by the program"},
 		{"unknown tensor", []*Tensor{a, b, c, NewTensor("X", tiled, n, n).Zero()}, "no tensor X"},
-		{"missing leaf", []*Tensor{a, b}, "no data bound for leaf input C"},
+		{"missing leaf", []*Tensor{a, b}, "no data bound for tensor C"},
 		{"wrong shape", []*Tensor{a, b, NewTensor("C", tiled, n, 2*n).Zero()}, "shape"},
 	}
 	for _, tc := range cases {
@@ -386,7 +439,7 @@ func TestProgramBatch(t *testing.T) {
 	const n, k = 24, 3
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	ctx := context.Background()
-	pp, err := sess.CompileProgram(ctx, chainRequest(n))
+	pp, err := sess.Compile(ctx, chainRequest(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,19 +453,18 @@ func TestProgramBatch(t *testing.T) {
 		})
 	}
 	bb := pp.BindBatch(insts...)
-	results, err := bb.Run(ctx)
-	if err != nil {
+	if _, err := bb.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != k {
-		t.Fatalf("got %d results, want %d", len(results), k)
+	if bb.Len() != k {
+		t.Fatalf("got %d instances, want %d", bb.Len(), k)
 	}
 	for i := 0; i < k; i++ {
 		single := pp.Bind(insts[i]...)
 		if _, err := single.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if diff := bb.Output(i).Data.MaxAbsDiff(single.Output().Data); diff != 0 {
+		if diff := bb.Output(i).Data.MaxAbsDiff(single.Output(0).Data); diff != 0 {
 			t.Fatalf("instance %d differs from single run: max abs diff %g", i, diff)
 		}
 	}

@@ -1,13 +1,20 @@
 package distal
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// redistribute is the shared implementation behind Session.Redistribute and
-// the deprecated free function: sess may be nil for one-shot use.
-func redistribute(sess *Session, t *Tensor, dst Format, m *Machine) (*Program, *Tensor, error) {
+// Redistribute builds (through the plan cache) a program that moves tensor
+// t into the dst format on the session's machine (§1: "easily transform
+// data between distributed layouts to match the computation"). It is
+// compiled through the ordinary pipeline — the layout-change program of
+// plan DAG repartition stages, an identity statement whose output is
+// placed under the destination format and whose loops are distributed
+// owner-computes over the destination — so the runtime discovers exactly
+// the copies the layout change requires, prices them, and (in Real mode)
+// performs them.
+//
+// The returned tensor is the destination; after Run its Data holds t's
+// contents.
+func (s *Session) Redistribute(t *Tensor, dst Format) (*Program, *Tensor, error) {
 	if len(t.Shape) == 0 || len(t.Shape) > 6 {
 		return nil, nil, fmt.Errorf("distal: redistribute supports ranks 1..6, got %d", len(t.Shape))
 	}
@@ -18,24 +25,11 @@ func redistribute(sess *Session, t *Tensor, dst Format, m *Machine) (*Program, *
 	if t.Data != nil {
 		out.Zero()
 	}
-	vars := []string{"i", "j", "k", "l", "u", "v"}[:len(t.Shape)]
-	idx := strings.Join(vars, ",")
-	expr := fmt.Sprintf("%s(%s) = %s(%s)", out.Name, idx, t.Name, idx)
-	comp, err := Define(expr, m, out, t)
+	expr, sched := layoutChange(out.Name, t.Name, len(t.Shape), s.machine.Processors())
+	comp, err := s.Define(expr, out, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	comp.sess = sess
-	// Owner-computes over the destination: distribute the leading dimension
-	// across all leaf processors and aggregate all communication at the
-	// task level. This is correct for any (src, dst) placement pair: reads
-	// gather from the source owners, writes flush to the destination
-	// owners. Expressed as schedule text so the layout change is itself a
-	// storable, cacheable workload.
-	sched := fmt.Sprintf("divide(%s,d0,d0i,%d) reorder(%s) distribute(d0) communicate(d0,%s,%s)",
-		vars[0], m.Processors(),
-		strings.Join(append([]string{"d0", "d0i"}, vars[1:]...), ","),
-		out.Name, t.Name)
 	if err := comp.ApplySchedule(sched); err != nil {
 		return nil, nil, err
 	}
@@ -46,33 +40,15 @@ func redistribute(sess *Session, t *Tensor, dst Format, m *Machine) (*Program, *
 	return prog, out, nil
 }
 
-// Redistribute builds a program that moves tensor t into the dst format
-// (§1: "easily transform data between distributed layouts to match the
-// computation"). It is compiled through the ordinary pipeline — an identity
-// statement whose output is placed under the destination format and whose
-// loops are distributed owner-computes over the destination — so the
-// runtime discovers exactly the copies the layout change requires, prices
-// them, and (in Real mode) performs them.
-//
-// The returned tensor is the destination; after Run its Data holds t's
-// contents.
-//
-// Deprecated: prefer Session.Redistribute, which caches the layout-change
-// plan.
-func Redistribute(t *Tensor, dst Format, m *Machine) (*Program, *Tensor, error) {
-	return redistribute(nil, t, dst, m)
-}
-
-// RedistributeCost simulates the layout change and returns the moved bytes
-// and simulated seconds without touching data.
-//
-// Deprecated: prefer Session.RedistributeCost.
-func RedistributeCost(t *Tensor, dst Format, m *Machine, params Params) (bytes int64, seconds float64, err error) {
-	prog, _, err := Redistribute(t, dst, m)
+// RedistributeCost simulates the layout change under the session's cost
+// model and returns moved bytes and simulated seconds without touching
+// data.
+func (s *Session) RedistributeCost(t *Tensor, dst Format) (bytes int64, seconds float64, err error) {
+	prog, _, err := s.Redistribute(t, dst)
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := prog.Simulate(params)
+	res, err := prog.Simulate(s.params)
 	if err != nil {
 		return 0, 0, err
 	}

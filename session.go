@@ -3,9 +3,8 @@ package distal
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,18 +38,9 @@ type Session struct {
 	hits     int64
 	misses   int64
 
-	// Request memo: canonical request rendering -> plan key, an LRU bounded
-	// at memoCapacity whose entries also die with the plan they point at
-	// (plan-cache eviction removes them via byPlan). A memo hit skips
-	// statement parsing, tensor construction, and schedule replay entirely.
-	memoCapacity int
-	memoLRU      *list.List // of *memoEntry, front = most recent
-	memo         map[string]*list.Element
-	byPlan       map[string][]string // plan key -> canonical requests memoized to it
-
-	// flights collapses concurrent identical compiles: the first caller of
-	// a canonical request compiles, later callers arriving before it
-	// finishes wait and share the result (exactly one cache miss).
+	// flights collapses concurrent compiles of one plan key: the first
+	// caller compiles, later callers arriving before it finishes wait and
+	// share the result (exactly one cache miss).
 	flights map[string]*flight
 }
 
@@ -59,14 +49,8 @@ type planEntry struct {
 	data *planData
 }
 
-type memoEntry struct {
-	ck      string
-	planKey string
-}
-
 type flight struct {
 	done chan struct{}
-	key  string
 	data *planData
 	err  error
 }
@@ -84,25 +68,20 @@ func WithParams(p Params) SessionOption {
 	return func(s *Session) { s.params = p }
 }
 
-// WithPlanCacheSize sets the plan cache capacity; 0 disables caching (and
-// the request memo with it).
+// WithPlanCacheSize sets the plan cache capacity; 0 disables caching.
 func WithPlanCacheSize(n int) SessionOption {
-	return func(s *Session) { s.capacity = n; s.memoCapacity = 4 * n }
+	return func(s *Session) { s.capacity = n }
 }
 
 // NewSession creates a session over the machine.
 func NewSession(m *Machine, opts ...SessionOption) *Session {
 	s := &Session{
-		machine:      m,
-		params:       LassenCPU(),
-		capacity:     DefaultPlanCacheSize,
-		memoCapacity: 4 * DefaultPlanCacheSize,
-		lru:          list.New(),
-		plans:        map[string]*list.Element{},
-		memoLRU:      list.New(),
-		memo:         map[string]*list.Element{},
-		byPlan:       map[string][]string{},
-		flights:      map[string]*flight{},
+		machine:  m,
+		params:   LassenCPU(),
+		capacity: DefaultPlanCacheSize,
+		lru:      list.New(),
+		plans:    map[string]*list.Element{},
+		flights:  map[string]*flight{},
 	}
 	for _, o := range opts {
 		o(s)
@@ -118,45 +97,23 @@ func (s *Session) Params() Params { return s.params }
 
 // CacheStats summarizes plan-cache effectiveness.
 type CacheStats struct {
-	// Hits counts Compile calls served without running the compiler (plan
-	// cache, request memo, or a shared in-flight compile).
+	// Hits counts statement compiles served without running the compiler
+	// (plan cache or a shared in-flight compile).
 	Hits int64
-	// Misses counts Compile calls that ran the compiler.
+	// Misses counts statement compiles that ran the compiler.
 	Misses int64
 	// Entries is the number of cached plans.
 	Entries int
-	// MemoEntries is the number of canonical requests memoized to plan keys.
-	MemoEntries int
 }
 
 // CacheStats returns a snapshot of the plan cache counters.
 func (s *Session) CacheStats() CacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return CacheStats{Hits: s.hits, Misses: s.misses, Entries: s.lru.Len(), MemoEntries: s.memoLRU.Len()}
-}
-
-// lookup returns the cached plan for key, promoting it to most recent. A
-// miss is counted (the caller is about to compile).
-func (s *Session) lookup(key string) *planData {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.capacity <= 0 {
-		return nil
-	}
-	el, ok := s.plans[key]
-	if !ok {
-		s.misses++
-		return nil
-	}
-	s.hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*planEntry).data
+	return CacheStats{Hits: s.hits, Misses: s.misses, Entries: s.lru.Len()}
 }
 
 // store inserts a plan, evicting the least recently used beyond capacity.
-// Memo entries pointing at an evicted plan are dropped with it: the memo is
-// a view over the plan cache, never a second cache.
 func (s *Session) store(key string, data *planData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,88 +129,42 @@ func (s *Session) store(key string, data *planData) {
 	for s.lru.Len() > s.capacity {
 		last := s.lru.Back()
 		s.lru.Remove(last)
-		evicted := last.Value.(*planEntry).key
-		delete(s.plans, evicted)
-		for _, ck := range s.byPlan[evicted] {
-			if mel, ok := s.memo[ck]; ok {
-				s.memoLRU.Remove(mel)
-				delete(s.memo, ck)
-			}
-		}
-		delete(s.byPlan, evicted)
+		delete(s.plans, last.Value.(*planEntry).key)
 	}
-}
-
-// memoize records ck -> planKey under the memo's own LRU bound. Caller must
-// not hold s.mu.
-func (s *Session) memoize(ck, planKey string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.capacity <= 0 || s.memoCapacity <= 0 {
-		return
-	}
-	if el, ok := s.memo[ck]; ok {
-		el.Value.(*memoEntry).planKey = planKey
-		s.memoLRU.MoveToFront(el)
-		return
-	}
-	s.memo[ck] = s.memoLRU.PushFront(&memoEntry{ck: ck, planKey: planKey})
-	s.byPlan[planKey] = append(s.byPlan[planKey], ck)
-	for s.memoLRU.Len() > s.memoCapacity {
-		last := s.memoLRU.Back()
-		s.memoLRU.Remove(last)
-		me := last.Value.(*memoEntry)
-		delete(s.memo, me.ck)
-		if cks := s.byPlan[me.planKey]; len(cks) > 0 {
-			for i, ck2 := range cks {
-				if ck2 == me.ck {
-					s.byPlan[me.planKey] = append(cks[:i], cks[i+1:]...)
-					break
-				}
-			}
-			if len(s.byPlan[me.planKey]) == 0 {
-				delete(s.byPlan, me.planKey)
-			}
-		}
-	}
-}
-
-// memoLookup resolves a canonical request through the memo and the plan
-// cache in one critical section; it returns the plan data and key on a hit
-// (counting a hit) and nil on any miss (counting nothing — the compile path
-// counts the miss exactly once).
-func (s *Session) memoLookup(ck string) (*planData, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.memo[ck]
-	if !ok {
-		return nil, ""
-	}
-	me := el.Value.(*memoEntry)
-	pe, ok := s.plans[me.planKey]
-	if !ok {
-		// The plan was evicted out from under the memo entry (possible only
-		// via a concurrent eviction racing this lookup): drop the entry.
-		s.memoLRU.Remove(el)
-		delete(s.memo, ck)
-		return nil, ""
-	}
-	s.hits++
-	s.lru.MoveToFront(pe)
-	s.memoLRU.MoveToFront(el)
-	return pe.Value.(*planEntry).data, me.planKey
 }
 
 // Define parses the statement and binds the named tensors against the
 // session's machine; the resulting computation compiles through the
 // session's plan cache.
+// Every tensor named in the expression must be provided, with shapes the
+// statement accepts.
 func (s *Session) Define(expr string, tensors ...*Tensor) (*Computation, error) {
-	c, err := Define(expr, s.machine, tensors...)
+	stmt, err := ir.Parse(expr)
 	if err != nil {
 		return nil, err
 	}
-	c.sess = s
-	return c, nil
+	byName := map[string]*Tensor{}
+	for _, t := range tensors {
+		byName[t.Name] = t
+	}
+	shapes := map[string][]int{}
+	for _, name := range stmt.TensorNames() {
+		t, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("distal: expression references tensor %s, which was not provided", name)
+		}
+		shapes[name] = t.Shape
+	}
+	if err := stmt.Validate(shapes); err != nil {
+		return nil, err
+	}
+	return &Computation{
+		Stmt:    stmt,
+		Machine: s.machine,
+		tensors: byName,
+		sched:   schedule.New(stmt),
+		sess:    s,
+	}, nil
 }
 
 // MustDefine is Define but panics on error.
@@ -288,9 +199,8 @@ type Request struct {
 	// whose left-hand sides name intermediates later statements consume,
 	// each with its own format annotations and schedule. Shapes then
 	// declares the leaf inputs only (intermediate shapes are inferred from
-	// their producers), and Stmt/Formats/Schedule must be empty. Requests
-	// with Stmts compile through Session.CompileProgram into a ProgramPlan;
-	// Compile rejects them.
+	// their producers), and Stmt/Formats/Schedule must be empty. Compile
+	// turns a request with Stmts into a multi-stage Plan.
 	Stmts []Statement
 }
 
@@ -378,89 +288,81 @@ func (s *Session) buildUnscheduled(req Request) (*Computation, error) {
 	return c, nil
 }
 
-// canonicalRequest renders a request deterministically and injectively:
-// every field is length-framed, so no request can embed another's frame
-// boundaries inside a field value and collide (maps are rendered sorted and
-// in full — an entry buildComputation would reject must not canonicalize to
-// the same string as a request without it). Given a fixed session machine
-// the rendering fully determines the compile input, so it keys both the
-// request memo and the singleflight table.
-func canonicalRequest(req Request) string {
-	var b strings.Builder
-	frame := func(fields ...string) {
-		for _, f := range fields {
-			fmt.Fprintf(&b, "%d\x00%s", len(f), f)
-		}
+// Compile compiles a request into an immutable Plan through the plan cache.
+// A single-statement request compiles to a one-stage plan; a request with
+// Stmts compiles to a plan DAG, each stage exactly as a single-statement
+// request would.
+//
+// Every statement resolves the same way: build the computation, hash it
+// into its plan key (core.PlanKey), and look the key up in the plan cache.
+// On a miss, concurrent compiles of the same key run the compiler once and
+// share the result (singleflight). Cancellation of ctx aborts the compile
+// at the materializer's next checkpoint and returns an error of
+// KindCanceled; waiters whose own context is alive when the compiling
+// leader is canceled retry instead of inheriting the leader's cancellation.
+func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
+	if len(req.Stmts) > 0 {
+		return s.compileProgram(ctx, req)
 	}
-	frame(req.Stmt)
-	shapeNames := make([]string, 0, len(req.Shapes))
-	for k := range req.Shapes {
-		shapeNames = append(shapeNames, k)
+	if req.Stmt == "" {
+		return nil, wrapErr(KindParse, "compile", errors.New("request has no statements (set Stmt, or Stmts for a multi-statement program)"))
 	}
-	sort.Strings(shapeNames)
-	for _, name := range shapeNames {
-		frame("s", name, fmt.Sprint(req.Shapes[name]))
+	st, err := s.compileStage(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	formatNames := make([]string, 0, len(req.Formats))
-	for k := range req.Formats {
-		formatNames = append(formatNames, k)
-	}
-	sort.Strings(formatNames)
-	for _, name := range formatNames {
-		frame("f", name, req.Formats[name])
-	}
-	frame(req.Schedule)
-	return b.String()
+	return s.newPlan(st.key, []stage{st}, st.data.tensorNames, st.data.output), nil
 }
 
-// Compile compiles a request into an immutable Plan through the plan cache.
-//
-// A request seen before resolves through the request memo without
-// re-parsing the statement or replaying the schedule; concurrent identical
-// requests compile once and share the result (singleflight). Cancellation
-// of ctx aborts the compile at the materializer's next checkpoint and
-// returns an error of KindCanceled; waiters whose own context is alive when
-// the compiling leader is canceled retry instead of inheriting the
-// leader's cancellation.
-func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
+// compileStage resolves one statement's program under a "compile" span.
+func (s *Session) compileStage(ctx context.Context, req Request) (stage, error) {
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	plan, err := s.compileFlight(ctx, sp, req)
-	if plan != nil {
-		sp.SetAttr("plan_key", plan.key)
-		if plan.stats.Cached {
-			sp.SetAttr("cache", "hit")
-		} else {
-			sp.SetAttr("cache", "miss")
-		}
+	if err := ctx.Err(); err != nil {
+		return stage{}, wrapErr(KindCanceled, "compile", err)
 	}
-	return plan, err
+	c, err := s.buildComputation(req)
+	if err != nil {
+		return stage{}, err
+	}
+	key, pd, stats, err := s.resolve(ctx, c)
+	if err != nil {
+		return stage{}, err
+	}
+	sp.SetAttr("plan_key", key)
+	if stats.Cached {
+		sp.SetAttr("cache", "hit")
+	} else {
+		sp.SetAttr("cache", "miss")
+	}
+	return stage{key: key, data: pd, stats: stats}, nil
 }
 
-// compileFlight is Compile's body: memo lookup, then the singleflight table,
-// then leading a compile of our own.
-func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) (*Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(KindCanceled, "compile", err)
-	}
-	if len(req.Stmts) > 0 {
-		return nil, wrapErr(KindParse, "compile",
-			fmt.Errorf("request carries %d statements; multi-statement programs compile through Session.CompileProgram", len(req.Stmts)))
-	}
-	ck := canonicalRequest(req)
+// resolve returns the compiled program of c and its plan key: from the plan
+// cache, from a concurrent compile of the same key (waiting for it), or by
+// running the compiler as that key's flight leader. Every call counts
+// exactly one hit or miss.
+func (s *Session) resolve(ctx context.Context, c *Computation) (string, *planData, CompileStats, error) {
+	in := c.compileInput()
+	key := core.PlanKey(in)
+	sp := obs.FromContext(ctx)
 	for {
-		if pd, key := s.memoLookup(ck); pd != nil {
-			sp.SetAttr("source", "memo")
-			return &Plan{sess: s, key: key, data: pd, stats: cachedStats(pd, false)}, nil
-		}
 		s.mu.Lock()
-		if fl, ok := s.flights[ck]; ok {
+		if el, ok := s.plans[key]; ok {
+			s.hits++
+			s.lru.MoveToFront(el)
+			pd := el.Value.(*planEntry).data
+			s.mu.Unlock()
+			sp.SetAttr("source", "cache")
+			return key, pd, cachedStats(pd, false), nil
+		}
+		if fl, ok := s.flights[key]; ok {
 			s.mu.Unlock()
 			wait := sp.StartChild("singleflight-wait")
 			select {
 			case <-ctx.Done():
 				wait.End()
-				return nil, wrapErr(KindCanceled, "compile", ctx.Err())
+				return "", nil, CompileStats{}, wrapErr(KindCanceled, "compile", ctx.Err())
 			case <-fl.done:
 			}
 			wait.End()
@@ -468,183 +370,67 @@ func (s *Session) compileFlight(ctx context.Context, sp *obs.Span, req Request) 
 				if KindOf(fl.err) == KindCanceled && ctx.Err() == nil {
 					continue // the leader was canceled, not us: retry
 				}
-				return nil, fl.err
+				return "", nil, CompileStats{}, fl.err
 			}
 			s.mu.Lock()
 			s.hits++ // served by the shared flight: no compile ran for us
 			s.mu.Unlock()
 			sp.SetAttr("source", "flight")
-			return &Plan{sess: s, key: fl.key, data: fl.data, stats: cachedStats(fl.data, true)}, nil
+			return key, fl.data, cachedStats(fl.data, true), nil
+		}
+		if s.capacity > 0 {
+			s.misses++
 		}
 		fl := &flight{done: make(chan struct{})}
-		s.flights[ck] = fl
+		s.flights[key] = fl
 		s.mu.Unlock()
 
 		sp.SetAttr("flight", "lead")
-		return s.lead(ctx, ck, req, fl)
+		pd, stats, err := s.lead(ctx, key, c, in, fl)
+		return key, pd, stats, err
 	}
 }
 
-// lead runs the compile as a flight's leader, guaranteeing — even on a
+// lead runs the compiler as a flight's leader, guaranteeing — even on a
 // compiler panic — that the flight is removed and its done channel closed,
 // so waiters can never block on a dead flight.
-func (s *Session) lead(ctx context.Context, ck string, req Request, fl *flight) (plan *Plan, err error) {
+func (s *Session) lead(ctx context.Context, key string, c *Computation, in core.Input, fl *flight) (pd *planData, stats CompileStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			fl.err = fmt.Errorf("distal: compile panicked: %v", r)
-			plan, err = nil, fl.err
+			pd, err = nil, fmt.Errorf("distal: compile panicked: %v", r)
 		}
+		fl.data, fl.err = pd, err
 		s.mu.Lock()
-		delete(s.flights, ck)
+		delete(s.flights, key)
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	plan, err = s.compileRequest(ctx, ck, req)
-	if plan != nil {
-		fl.key, fl.data = plan.key, plan.data
+	start := time.Now()
+	_, run := obs.Start(ctx, "compiler-run")
+	prog, err := core.CompileContext(ctx, in)
+	run.End()
+	if err != nil {
+		return nil, CompileStats{}, wrapErr(KindCompile, "compile", err)
 	}
-	fl.err = err
-	return plan, err
+	pd = c.newPlanData(prog)
+	s.store(key, pd)
+	return pd, CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}, nil
 }
 
 func cachedStats(pd *planData, shared bool) CompileStats {
 	return CompileStats{Cached: true, Shared: shared, Launches: pd.launches, Points: pd.points}
 }
 
-// compileRequest is the slow path of Compile: build the computation, check
-// the plan cache under the content key, and run the compiler on a miss.
-func (s *Session) compileRequest(ctx context.Context, ck string, req Request) (*Plan, error) {
-	c, err := s.buildComputation(req)
-	if err != nil {
-		return nil, err
-	}
-	in := c.compileInput()
-	key := core.PlanKey(in)
-	if pd := s.lookup(key); pd != nil {
-		// Same program under a different request rendering (e.g. explicit
-		// vs. defaulted formats): memoize this rendering too.
-		s.memoize(ck, key)
-		return &Plan{sess: s, key: key, data: pd, stats: cachedStats(pd, false)}, nil
-	}
-	start := time.Now()
-	_, run := obs.Start(ctx, "compiler-run")
-	prog, err := core.CompileContext(ctx, in)
-	run.End()
-	if err != nil {
-		return nil, wrapErr(KindCompile, "compile", err)
-	}
-	pd := c.newPlanData(prog)
-	s.store(key, pd)
-	s.memoize(ck, key)
-	stats := CompileStats{CompileTime: time.Since(start), Launches: pd.launches, Points: pd.points}
-	return &Plan{sess: s, key: key, data: pd, stats: stats}, nil
-}
-
-// flightCompile resolves a plan key through the plan cache and the
-// session's singleflight table: concurrent identical compiles run compileFn
-// once and share the result. It is the fluent counterpart of Compile's
-// flight handling — fluent computations have no canonical request text, so
-// their flights key on the plan key in a namespace of its own ("plan\x00"
-// prefix; canonical requests are length-framed and never start with that
-// byte sequence's shape, so the two key spaces cannot collide).
-func (s *Session) flightCompile(key string, compileFn func() (*planData, error)) (*planData, error) {
-	fk := "plan\x00" + key
-	s.mu.Lock()
-	if s.capacity > 0 {
-		if el, ok := s.plans[key]; ok {
-			s.hits++
-			s.lru.MoveToFront(el)
-			pd := el.Value.(*planEntry).data
-			s.mu.Unlock()
-			return pd, nil
-		}
-	}
-	if fl, ok := s.flights[fk]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		// Unlike Compile's waiters, there is no retry here: fluent compiles
-		// carry no context, so a leader's failure is a plain compile error
-		// every waiter shares.
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		s.mu.Lock()
-		s.hits++ // served by the shared flight: no compile ran for us
-		s.mu.Unlock()
-		return fl.data, nil
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[fk] = fl
-	s.mu.Unlock()
-	return s.leadFlight(key, fk, fl, compileFn)
-}
-
-// leadFlight runs compileFn as a flight's leader with the same panic-safety
-// guarantee as lead: the flight is always removed and its done channel
-// closed, so waiters can never block on a dead flight.
-func (s *Session) leadFlight(key, fk string, fl *flight, compileFn func() (*planData, error)) (pd *planData, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fl.err = fmt.Errorf("distal: compile panicked: %v", r)
-			pd, err = nil, fl.err
-		}
-		s.mu.Lock()
-		delete(s.flights, fk)
-		s.mu.Unlock()
-		close(fl.done)
-	}()
-	if pd := s.lookup(key); pd != nil { // counts this caller's hit or miss
-		fl.key, fl.data = key, pd
-		return pd, nil
-	}
-	pd, err = compileFn()
-	if err != nil {
-		fl.err = err
-		return nil, err
-	}
-	s.store(key, pd)
-	fl.key, fl.data = key, pd
-	return pd, nil
-}
-
 // Execute is the one-call convenience a CLI needs: Compile followed by
 // Simulate under a background context. Services should prefer Compile and
 // Plan.Simulate with a real context.
 func (s *Session) Execute(req Request, opts ...ExecOption) (*Result, error) {
-	return s.ExecuteContext(context.Background(), req, opts...)
-}
-
-// ExecuteContext compiles the request (hitting the plan cache when the same
-// workload was compiled before) and simulates it under the session's cost
-// model, honoring ctx through both phases. Execution modifiers (tracing,
-// synchronous mode, ...) apply to this call only.
-func (s *Session) ExecuteContext(ctx context.Context, req Request, opts ...ExecOption) (*Result, error) {
+	ctx := context.Background()
 	plan, err := s.Compile(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	return plan.Simulate(ctx, opts...)
-}
-
-// Redistribute builds (through the plan cache) a program that moves tensor
-// t into the dst format on the session's machine. See the package-level
-// Redistribute for semantics.
-func (s *Session) Redistribute(t *Tensor, dst Format) (*Program, *Tensor, error) {
-	return redistribute(s, t, dst, s.machine)
-}
-
-// RedistributeCost simulates the layout change under the session's cost
-// model and returns moved bytes and simulated seconds.
-func (s *Session) RedistributeCost(t *Tensor, dst Format) (bytes int64, seconds float64, err error) {
-	prog, _, err := s.Redistribute(t, dst)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := prog.Simulate(s.params)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.IntraBytes + res.InterBytes, res.Time, nil
 }
 
 // cacheable reports whether the computation's plan may be cached.
@@ -684,7 +470,18 @@ func (c *Computation) compileInput() core.Input {
 // newPlanData wraps a freshly compiled program with this computation's
 // descriptive metadata for caching.
 func (c *Computation) newPlanData(prog *legion.Program) *planData {
-	return newPlanData(prog, c.sched.String(), cin.Build(c.sched).String(), c.Stmt.LHS.Tensor, c.Stmt.TensorNames())
+	pd := &planData{
+		prog:         prog,
+		scheduleText: c.sched.String(),
+		notation:     c.Notation(),
+		output:       c.Stmt.LHS.Tensor,
+		tensorNames:  c.Stmt.TensorNames(),
+		launches:     len(prog.Launches),
+	}
+	for _, l := range prog.Launches {
+		pd.points += l.Domain.Size()
+	}
+	return pd
 }
 
 // Notation returns the concrete index notation of the scheduled statement

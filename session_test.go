@@ -89,9 +89,9 @@ func TestSessionExecuteErrors(t *testing.T) {
 	}
 }
 
-// TestSessionRequestMemo: a repeated request resolves through the request
-// memo — no statement re-parse — and still reports plan-cache hits; results
-// stay identical, and the memo-resolved plan reports itself as cached.
+// TestSessionRequestMemo: a repeated request resolves from the plan cache
+// with its metadata intact and reports itself as cached; results stay
+// identical, and a request differing only in schedule text compiles anew.
 func TestSessionRequestMemo(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	req := gemmRequest(64)
@@ -99,7 +99,7 @@ func TestSessionRequestMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sess.Compile(context.Background(), req) // memo path
+	plan, err := sess.Compile(context.Background(), req) // cache hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +107,19 @@ func TestSessionRequestMemo(t *testing.T) {
 		t.Fatal("second compile of an identical request should resolve from the cache")
 	}
 	if plan.Key() == "" || plan.ScheduleText() == "" || plan.Notation() == "" {
-		t.Fatalf("memo-resolved plan lost metadata: key=%q sched=%q notation=%q", plan.Key(), plan.ScheduleText(), plan.Notation())
+		t.Fatalf("cache-resolved plan lost metadata: key=%q sched=%q notation=%q", plan.Key(), plan.ScheduleText(), plan.Notation())
 	}
 	again, err := plan.Simulate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Time != first.Time || again.Copies != first.Copies {
-		t.Fatalf("memoized plan diverged: %+v vs %+v", again, first)
+		t.Fatalf("cached plan diverged: %+v vs %+v", again, first)
 	}
 	if st := sess.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	// A request differing only in schedule text must not alias the memo.
+	// A request differing only in schedule text must not alias the plan.
 	other := gemmRequest(64)
 	other.Schedule = "divide(i,io,ii,4) reorder(io,ii,j,k) distribute(io) communicate(io,A,B,C)"
 	if _, err := sess.Execute(other); err != nil {
@@ -131,8 +131,8 @@ func TestSessionRequestMemo(t *testing.T) {
 }
 
 // TestSessionMemoDoesNotBypassValidation: a request whose only difference
-// from a previously memoized one is an invalid map entry must still be
-// rejected, not silently served the memoized plan.
+// from a previously compiled one is an invalid map entry must still be
+// rejected, not silently served the cached plan.
 func TestSessionMemoDoesNotBypassValidation(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	good := Request{
@@ -145,13 +145,12 @@ func TestSessionMemoDoesNotBypassValidation(t *testing.T) {
 	bad := good
 	bad.Formats = map[string]string{"b": "xy->x"} // typo'd key, otherwise identical
 	if _, err := sess.Execute(bad); err == nil {
-		t.Fatal("typo'd Formats key served from the request memo instead of failing validation")
+		t.Fatal("typo'd Formats key served from the plan cache instead of failing validation")
 	}
 }
 
 // TestSessionMemoCanonicalInjective: a request must not be able to collide
-// with a memoized one by embedding another field's rendering inside its own
-// (the canonical form is length-framed precisely to prevent this).
+// with a cached one by embedding another field's rendering inside its own.
 func TestSessionMemoCanonicalInjective(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	valid := Request{
@@ -165,14 +164,11 @@ func TestSessionMemoCanonicalInjective(t *testing.T) {
 	}
 	// Fold the format entry's old textual rendering into the schedule of a
 	// request without that entry: it must fail schedule parsing, not be
-	// served the memoized plan.
+	// served the cached plan.
 	forged := Request{
 		Stmt:     valid.Stmt,
 		Shapes:   valid.Shapes,
 		Schedule: "format B=xy->xy\n" + valid.Schedule,
-	}
-	if canonicalRequest(forged) == canonicalRequest(valid) {
-		t.Fatal("distinct requests canonicalize identically")
 	}
 	if _, err := sess.Execute(forged); err == nil {
 		t.Fatal("forged request executed instead of failing schedule parse")
