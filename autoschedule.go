@@ -47,12 +47,12 @@ func autoScheduleCommands(stmt *ir.Assignment, grid []int) (schedule.Commands, e
 // The derived schedule is applied as ordinary scheduling commands, so it
 // serializes through ScheduleText like a hand-written one. AutoSchedule
 // must be called before any manual scheduling command and returns an error
-// if the output has fewer index variables than the machine has grid
-// dimensions.
+// (KindSchedule) if the output has fewer index variables than the machine
+// has grid dimensions.
 func (c *Computation) AutoSchedule() error {
 	cs, err := autoScheduleCommands(c.Stmt, c.Machine.M.LeafGrid().Dims)
 	if err != nil {
-		return err
+		return wrapErr(KindSchedule, "compile", err)
 	}
-	return c.sched.Apply(cs).Err()
+	return wrapErr(KindSchedule, "compile", c.sched.Apply(cs).Err())
 }

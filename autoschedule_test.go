@@ -1,6 +1,7 @@
 package distal
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,16 +9,16 @@ import (
 	"distal/internal/tensor"
 )
 
-func autoRun(t *testing.T, comp *Computation) *Result {
+func autoRun(t *testing.T, comp *Computation, tensors ...*Tensor) *Result {
 	t.Helper()
 	if err := comp.AutoSchedule(); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(LassenCPU())
+	res, err := plan.Bind(tensors...).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestAutoScheduleGEMMCorrect(t *testing.T) {
 	B := NewTensor("B", f, n, n).FillRandom(1)
 	C := NewTensor("C", f, n, n).FillRandom(2)
 	comp := NewSession(m).MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
-	autoRun(t, comp)
+	autoRun(t, comp, A, B, C)
 	want, err := ir.Evaluate(comp.Stmt, map[string]*tensor.Dense{"B": B.Data, "C": C.Data})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestAutoScheduleAlignedTTVIsCommFree(t *testing.T) {
 	B := NewTensor("B", MustFormat("xyz->xy"), 8, 8, 4).FillRandom(1)
 	c := NewTensor("c", MustFormat("x->**"), 4).FillRandom(2)
 	comp := NewSession(m).MustDefine("A(i,j) = B(i,j,k) * c(k)", A, B, c)
-	res := autoRun(t, comp)
+	res := autoRun(t, comp, A, B, c)
 	if res.Copies != 0 {
 		t.Fatalf("aligned TTV should be communication-free, got %d copies", res.Copies)
 	}
@@ -107,7 +108,7 @@ func TestAutoScheduleHierarchicalGrid(t *testing.T) {
 	A := NewTensor("A", f, 8, 8, 8).Zero()
 	B := NewTensor("B", f, 8, 8, 8).FillRandom(1)
 	comp := NewSession(m).MustDefine("A(i,j,k) = B(i,j,k)", A, B)
-	res := autoRun(t, comp)
+	res := autoRun(t, comp, A, B)
 	if res.Copies != 0 {
 		t.Fatalf("aligned element-wise copy should be communication-free, got %d copies", res.Copies)
 	}

@@ -31,16 +31,48 @@ type Binding struct {
 
 // Bind attaches real data for one execution. Exactly the plan's Tensors
 // must be bound with data (allocate with Zero, FillRandom, or Bind), with
-// shapes matching the compiled plan.
+// shapes matching the compiled plan, and the output's data must not be any
+// input's.
 func (p *Plan) Bind(tensors ...*Tensor) *Binding {
+	return p.bind("bind", [][]*Tensor{tensors})
+}
+
+// bind validates every instance against the plan, allocates its unbound
+// stage outputs, and checks that each bound output is private to its
+// instance.
+func (p *Plan) bind(op string, instances [][]*Tensor) *Binding {
+	fail := func(err error) *Binding { return &Binding{plan: p, err: wrapErr(KindExec, op, err)} }
 	b := &Binding{plan: p}
-	inst, out, err := p.bindInstance(tensors)
-	if err != nil {
-		b.err = wrapErr(KindExec, "bind", err)
-		return b
+	for i, ts := range instances {
+		inst, out, err := p.bindInstance(ts)
+		if err != nil {
+			if op == "bind-batch" {
+				err = fmt.Errorf("instance %d: %w", i, err)
+			}
+			return fail(err)
+		}
+		b.insts, b.outs = append(b.insts, inst), append(b.outs, out)
 	}
-	b.insts, b.outs = append(b.insts, inst), append(b.outs, out)
+	if err := privateOutputs(b.insts, p.output); err != nil {
+		return fail(err)
+	}
 	return b
+}
+
+// privateOutputs reports a bound output whose data is also bound as any
+// other tensor of any instance: kernels would read a tensor while writing
+// it (a wrong answer), or instances running concurrently would race on it.
+func privateOutputs(insts []map[string]*tensor.Dense, out string) error {
+	for i, inst := range insts {
+		for j, other := range insts {
+			for name, d := range other {
+				if d == inst[out] && (i != j || name != out) {
+					return fmt.Errorf("instance %d output %s shares data with instance %d tensor %s: outputs must be private to their instance", i, out, j, name)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // bindInstance validates one instance's tensors against the plan and
@@ -86,38 +118,13 @@ func (p *Plan) bindInstance(tensors []*Tensor) (map[string]*tensor.Dense, *Tenso
 // BindBatch attaches real data for N problem instances, one tensor set per
 // instance, each validated exactly as Bind validates a single set.
 // Instances may share input tensors, but a bound output tensor must be
-// distinct from every tensor of every other instance — instances execute
-// concurrently, and a shared output would race.
+// distinct from every other bound tensor of every instance — instances
+// execute concurrently, and a shared output would race.
 func (p *Plan) BindBatch(instances ...[]*Tensor) *Binding {
-	b := &Binding{plan: p}
 	if len(instances) == 0 {
-		b.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("empty batch: bind at least one instance"))
-		return b
+		return &Binding{plan: p, err: wrapErr(KindExec, "bind-batch", fmt.Errorf("empty batch: bind at least one instance"))}
 	}
-	for i, ts := range instances {
-		inst, out, err := p.bindInstance(ts)
-		if err != nil {
-			b.err = wrapErr(KindExec, "bind-batch", fmt.Errorf("instance %d: %w", i, err))
-			return b
-		}
-		b.insts, b.outs = append(b.insts, inst), append(b.outs, out)
-	}
-	out := p.output
-	for i, inst := range b.insts {
-		for j, other := range b.insts {
-			if i == j {
-				continue
-			}
-			for name, d := range other {
-				if inst[out] == d {
-					b.err = wrapErr(KindExec, "bind-batch", fmt.Errorf(
-						"instance %d output %s shares data with instance %d tensor %s: outputs must be private to their instance", i, out, j, name))
-					return b
-				}
-			}
-		}
-	}
-	return b
+	return p.bind("bind-batch", instances)
 }
 
 // BindStacked attaches real data for batch problem instances stored
@@ -199,5 +206,5 @@ func (b *Binding) Run(ctx context.Context, opts ...ExecOption) (*Result, error) 
 	if b.err != nil {
 		return nil, b.err
 	}
-	return b.plan.exec(ctx, "run", append([]ExecOption{WithReal(), legion.WithBatch(b.insts)}, opts...))
+	return b.plan.exec(ctx, "run", append([]ExecOption{legion.WithReal(), legion.WithBatch(b.insts)}, opts...))
 }

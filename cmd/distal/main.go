@@ -62,7 +62,8 @@ func main() {
 		err = runAlg(*alg, *n, *procs, *gpu, *simulate, *trace, *maxPoints)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "distal:", err)
+		// Session errors (*distal.Error) already carry the "distal: " prefix.
+		fmt.Fprintln(os.Stderr, "distal:", strings.TrimPrefix(err.Error(), "distal: "))
 		os.Exit(1)
 	}
 }
@@ -144,11 +145,13 @@ func runExpr(expr, schedText string, n, procs int, gpu, simulate, trace bool, ma
 	fmt.Println("=== concrete index notation ===")
 	fmt.Println(comp.Notation())
 	fmt.Println()
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		return err
 	}
-	return show(prog.P, gpu, simulate, trace, maxPoints)
+	fmt.Println("=== generated program ===")
+	fmt.Print(plan.Listing(maxPoints))
+	return simulatePlan(plan, simulate, trace)
 }
 
 // runChain compiles a semicolon-separated statement list into a plan DAG:
@@ -223,6 +226,12 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 	fmt.Printf("inputs        %s\n", strings.Join(pp.Tensors(), ", "))
 	fmt.Printf("output        %s %v\n", pp.Output(), pp.Shape(pp.Output()))
 	fmt.Printf("plan          %s cached=%t\n", pp.Key(), pp.Stats().Cached)
+	return simulatePlan(pp, simulate, trace)
+}
+
+// simulatePlan simulates a session-compiled plan under its session's cost
+// model when -sim or -trace asks for it.
+func simulatePlan(plan *distal.Plan, simulate, trace bool) error {
 	if !simulate && !trace {
 		return nil
 	}
@@ -230,7 +239,7 @@ func runChain(src string, n, procs int, gpu, simulate, trace bool) error {
 	if trace {
 		mods = append(mods, distal.WithTrace())
 	}
-	res, err := pp.Simulate(context.Background(), mods...)
+	res, err := plan.Simulate(context.Background(), mods...)
 	if err != nil {
 		return err
 	}

@@ -39,8 +39,8 @@
 // KindCanceled). The one-call Session.Execute shim remains for CLIs, and
 // cmd/distal-serve exposes all of this over HTTP/JSON (see internal/serve).
 //
-// For programmatic construction (and for Real-mode execution on bound
-// data), the fluent layer mirrors Figure 2 of the paper:
+// For programmatic construction, the fluent layer mirrors Figure 2 of the
+// paper and compiles to the same cached Plan:
 //
 //	f := distal.Tiled(2)                              // rank-2 tiling, xy -> xy
 //	A := distal.NewTensor("A", f, n, n).Zero()
@@ -53,18 +53,19 @@
 //	    Reorder("ko", "ii", "ji", "ki").
 //	    Communicate("jo", "A").
 //	    Communicate("ko", "B", "C")
-//	prog, _ := comp.Compile()                         // plan-cached via sess
-//	res, _ := prog.Run(distal.LassenCPU())            // or prog.Simulate(params)
+//	plan, _ := comp.Compile()                         // plan-cached via sess
+//	res, _ := plan.Bind(A, B, C).Run(ctx)             // or plan.Simulate(ctx)
 //
-// Fluent schedules serialize to command text with Computation.ScheduleText
-// and parse back with Computation.ApplySchedule, so the two styles
-// round-trip.
+// Define reads only the tensors' names, shapes, and formats: data attaches
+// per execution through Plan.Bind, never at compile time, so computations
+// over different data share one cached plan. Fluent schedules serialize to
+// command text with Computation.ScheduleText and parse back with
+// Computation.ApplySchedule, so the two styles round-trip.
 package distal
 
 import (
 	"context"
 
-	"distal/internal/core"
 	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/legion"
@@ -154,8 +155,9 @@ func Tiled(rank int) Format {
 	return Format{Placement: distnot.NewPlacement(s)}
 }
 
-// Tensor declares a dense tensor with a format. Data is allocated lazily by
-// Bind or Fill*.
+// Tensor declares a dense tensor with a format, and carries the data a
+// Plan.Bind attaches to one execution. Data is allocated lazily by Bind or
+// Fill*.
 type Tensor struct {
 	Name   string
 	Shape  []int
@@ -168,7 +170,7 @@ func NewTensor(name string, f Format, shape ...int) *Tensor {
 	return &Tensor{Name: name, Shape: append([]int(nil), shape...), Format: f}
 }
 
-// Bind attaches real data for validated execution.
+// Bind attaches real data, for Plan.Bind to pass to an execution.
 func (t *Tensor) Bind(d *tensor.Dense) *Tensor {
 	t.Data = d
 	return t
@@ -187,8 +189,8 @@ func (t *Tensor) Zero() *Tensor {
 	return t
 }
 
-// Computation is a tensor index notation statement bound to concrete
-// tensors and a machine.
+// Computation is a tensor index notation statement over declared tensors
+// (names, shapes, and formats; never their data) and a machine.
 type Computation struct {
 	Stmt    *ir.Assignment
 	Machine *Machine
@@ -199,14 +201,6 @@ type Computation struct {
 
 // Schedule returns the computation's schedule for fluent transformation.
 func (c *Computation) Schedule() *Sched { return &Sched{c: c} }
-
-// TensorData returns the bound data of the named tensor, or nil.
-func (c *Computation) TensorData(name string) *tensor.Dense {
-	if t, ok := c.tensors[name]; ok {
-		return t.Data
-	}
-	return nil
-}
 
 // Sched is the fluent scheduling interface (§3.3). All commands delegate to
 // the underlying scheduling language; errors are sticky and surface at
@@ -281,30 +275,18 @@ func (s *Sched) Substitute(vars []string, kernel string) *Sched {
 // Err returns the first scheduling error, if any.
 func (s *Sched) Err() error { return s.c.sched.Err() }
 
-// Program is a compiled computation ready to execute.
-type Program struct {
-	P *legion.Program
-	c *Computation
-}
-
-// Compile lowers the computation to a Legion program. When no tensor has
-// data bound, the session's plan cache is consulted first: a hit returns
+// Compile lowers the computation to a one-stage Plan through the session's
+// plan cache, exactly as Session.Compile resolves a Request: a hit returns
 // the previously compiled plan without re-running the compiler, and
 // concurrent compiles of the same plan — fluent and Request compiles alike —
-// collapse into one through the session's singleflight table.
-func (c *Computation) Compile() (*Program, error) {
-	if !c.cacheable() {
-		p, err := core.Compile(c.compileInput())
-		if err != nil {
-			return nil, err
-		}
-		return &Program{P: p, c: c}, nil
-	}
-	_, pd, _, err := c.sess.resolve(context.TODO(), c)
+// collapse into one through the session's singleflight table. Run the plan
+// on data with plan.Bind(tensors...).Run(ctx).
+func (c *Computation) Compile() (*Plan, error) {
+	key, pd, stats, err := c.sess.resolve(context.TODO(), c)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{P: pd.prog, c: c}, nil
+	return c.sess.stagePlan(stage{key: key, data: pd, stats: stats}), nil
 }
 
 // Result re-exports the runtime's execution summary.
@@ -337,10 +319,6 @@ func WithOwnerOnly() ExecOption { return legion.WithOwnerOnly() }
 // stay live for reuse.
 func WithTransientWindow(n int) ExecOption { return legion.WithTransientWindow(n) }
 
-// WithReal executes leaf kernels on actual data; every tensor must have
-// data bound.
-func WithReal() ExecOption { return legion.WithReal() }
-
 // WithRealWorkers bounds the worker pool executing Real-mode leaf kernels
 // (independent tasks of a launch run concurrently). Zero, the default, uses
 // min(GOMAXPROCS, 16); 1 runs kernels serially. Results and simulated
@@ -354,26 +332,3 @@ func LassenCPU() Params { return sim.LassenCPU() }
 
 // LassenGPU returns the per-GPU cost model of the paper's testbed.
 func LassenGPU() Params { return sim.LassenGPU() }
-
-// Execute runs the program under params with the given execution
-// modifiers. It is the consolidated execution entry point: Run and Simulate
-// are thin wrappers.
-func (p *Program) Execute(params Params, opts ...ExecOption) (*Result, error) {
-	return legion.Run(p.P, legion.NewOptions(params, opts...))
-}
-
-// Run executes the program on real data (every tensor must have Data bound)
-// and also returns the simulated timing under params.
-func (p *Program) Run(params Params, opts ...ExecOption) (*Result, error) {
-	return p.Execute(params, append([]ExecOption{WithReal()}, opts...)...)
-}
-
-// Simulate executes the program's task graph without data, returning
-// simulated time, communication, and memory statistics.
-func (p *Program) Simulate(params Params, opts ...ExecOption) (*Result, error) {
-	return p.Execute(params, opts...)
-}
-
-// Output returns the computation's output tensor (after Run, it holds the
-// result).
-func (p *Program) Output() *Tensor { return p.c.tensors[p.c.Stmt.LHS.Tensor] }

@@ -1,6 +1,7 @@
 package distal
 
 import (
+	"context"
 	"testing"
 
 	"distal/internal/ir"
@@ -26,11 +27,12 @@ func TestFigure2Quickstart(t *testing.T) {
 		Communicate("jo", "A").
 		Communicate("ko", "B", "C").
 		Substitute([]string{"ii", "ji", "ki"}, "BLAS.GEMM")
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(LassenCPU())
+	b := plan.Bind(A, B, C)
+	res, err := b.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestFigure2Quickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.Output().Data.EqualWithin(want, 1e-9) {
+	if !b.Output(0).Data.EqualWithin(want, 1e-9) {
 		t.Fatal("Figure 2 program produced a wrong product")
 	}
 	if res.Flops != 2*n*n*n {
@@ -84,11 +86,11 @@ func TestSimulateWithoutData(t *testing.T) {
 		Reorder("io", "ii", "j").
 		Distribute("io").
 		Communicate("io", "A", "B")
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Simulate(LassenCPU())
+	res, err := plan.Simulate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,9 +18,9 @@ func main() {
 	m := distal.NewMachine(distal.CPU, g, g)
 	sess := distal.NewSession(m)
 	f := distal.Tiled(2)
-	A := distal.NewTensor("A", f, n, n).Zero()
-	B := distal.NewTensor("B", f, n, n).FillRandom(1)
-	C := distal.NewTensor("C", f, n, n).FillRandom(2)
+	A := distal.NewTensor("A", f, n, n)
+	B := distal.NewTensor("B", f, n, n)
+	C := distal.NewTensor("C", f, n, n)
 
 	comp, err := sess.Define("A(i,j) = B(i,k) * C(k,j)", A, B, C)
 	if err != nil {
@@ -35,11 +36,11 @@ func main() {
 		Communicate("jo", "A").
 		Communicate("kos", "B", "C")
 
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Execute(distal.LassenCPU(), distal.WithTrace())
+	res, err := plan.Simulate(context.Background(), distal.WithTrace())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,11 +43,11 @@ func main() {
 		Communicate("jo", "A").
 		Communicate("ko", "B", "C")
 
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(distal.LassenGPU())
+	res, err := plan.Bind(A, B, C).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,9 +19,9 @@ import (
 func run2D(n int) (*distal.Result, error) {
 	sess := distal.NewSession(distal.NewMachine(distal.CPU, 4, 2))
 	f := distal.Tiled(2)
-	A := distal.NewTensor("A", f, n, n).Zero()
-	B := distal.NewTensor("B", f, n, n).FillRandom(1)
-	C := distal.NewTensor("C", f, n, n).FillRandom(2)
+	A := distal.NewTensor("A", f, n, n)
+	B := distal.NewTensor("B", f, n, n)
+	C := distal.NewTensor("C", f, n, n)
 	comp := sess.MustDefine("A(i,j) = B(i,k) * C(k,j)", A, B, C)
 	comp.Schedule().
 		Divide("i", "io", "ii", 4).Divide("j", "jo", "ji", 2).
@@ -28,11 +29,11 @@ func run2D(n int) (*distal.Result, error) {
 		Split("k", "ko", "ki", n/4).
 		Reorder("io", "jo", "ko", "ii", "ji", "ki").
 		Communicate("jo", "A").Communicate("ko", "B", "C")
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		return nil, err
 	}
-	return prog.Simulate(distal.LassenCPU())
+	return plan.Simulate(context.Background())
 }
 
 func main() {
@@ -50,11 +51,11 @@ func main() {
 		Distribute("io", "jo", "ko").
 		Communicate("ko", "A", "B", "C")
 
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(distal.LassenCPU())
+	res, err := plan.Bind(A, B, C).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,11 +50,14 @@ func main() {
 		Communicate("ko", "B", "C").
 		Substitute([]string{"ii", "ji", "ki"}, "BLAS.GEMM")
 
-	prog, err := comp.Compile()
+	// Compile to an immutable Plan through the session's plan cache, then
+	// run it on the tensors' data, bound for this execution only.
+	ctx := context.Background()
+	plan, err := comp.Compile()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run(distal.LassenCPU())
+	res, err := plan.Bind(A, B, C).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,17 +79,16 @@ func main() {
 	fmt.Printf("\nschedule text:\n  %s\n", schedText)
 
 	// ... so the whole workload travels as a Request — statement, shapes,
-	// formats, and schedule, all text. Compiling it yields an immutable
-	// Plan: compile once, execute many times. The second Compile resolves
-	// from the plan cache without re-parsing anything.
-	ctx := context.Background()
+	// formats, and schedule, all text. It names the same computation, so
+	// compiling it resolves to the plan the fluent Compile cached: compile
+	// once, execute many times.
 	req := distal.Request{
 		Stmt:     "A(i,j) = B(i,k) * C(k,j)",
 		Shapes:   map[string][]int{"A": {n, n}, "B": {n, n}, "C": {n, n}},
 		Formats:  map[string]string{"A": "xy->xy", "B": "xy->xy", "C": "xy->xy"},
 		Schedule: schedText,
 	}
-	plan, err := sess.Compile(ctx, req)
+	plan, err = sess.Compile(ctx, req)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,9 +101,9 @@ func main() {
 	}
 	fmt.Printf("\nplan %s...: cached on recompile: %v\n", plan.Key()[:12], again.Stats().Cached)
 	st := sess.CacheStats()
-	fmt.Printf("plan cache: %d hit, %d miss\n", st.Hits, st.Misses)
+	fmt.Printf("plan cache: %d hits, %d miss\n", st.Hits, st.Misses)
 
-	// The same cached plan also runs on real data, bound per execution:
+	// The same cached plan runs on other data too, bound per execution:
 	// the plan stays immutable and shareable.
 	A2 := distal.NewTensor("A", f, n, n).Zero()
 	B2 := distal.NewTensor("B", f, n, n).FillRandom(7)

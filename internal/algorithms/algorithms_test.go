@@ -26,13 +26,8 @@ func testParams() sim.Params {
 // reference evaluator.
 func validate(t *testing.T, in core.Input) *legion.Result {
 	t.Helper()
-	inputs := map[string]*tensor.Dense{}
-	for name, d := range in.Tensors {
-		if name != in.Stmt.LHS.Tensor {
-			inputs[name] = d.Data
-		}
-	}
-	want, err := ir.Evaluate(in.Stmt, inputs)
+	data := Data(in, 7)
+	want, err := ir.Evaluate(in.Stmt, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +35,11 @@ func validate(t *testing.T, in core.Input) *legion.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true})
+	res, err := legion.Run(prog, legion.Options{Params: testParams(), Real: true, Batch: []map[string]*tensor.Dense{data}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := in.Tensors[in.Stmt.LHS.Tensor].Data
+	got := data[in.Stmt.LHS.Tensor]
 	if want.Rank() == 0 {
 		if d := want.At() - got.At(0); d > 1e-9 || d < -1e-9 {
 			t.Fatalf("scalar = %v, want %v", got.At(0), want.At())
@@ -62,7 +57,7 @@ func validate(t *testing.T, in core.Input) *legion.Result {
 func TestFig9AllMatmulsCorrect(t *testing.T) {
 	for _, alg := range MatmulAlgs {
 		for _, procs := range []int{4, 8} {
-			cfg := MatmulConfig{N: 12, Procs: procs, Seed: 42}
+			cfg := MatmulConfig{N: 12, Procs: procs}
 			in, err := Matmul(alg, cfg)
 			if err != nil {
 				t.Fatalf("%s/p=%d: %v", alg, procs, err)
@@ -73,7 +68,7 @@ func TestFig9AllMatmulsCorrect(t *testing.T) {
 }
 
 func TestFig9PerfectCubeJohnson(t *testing.T) {
-	in, err := Matmul(Johnson, MatmulConfig{N: 12, Procs: 8, Seed: 3})
+	in, err := Matmul(Johnson, MatmulConfig{N: 12, Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +148,7 @@ func TestJohnsonMemoryVsSUMMA(t *testing.T) {
 }
 
 func TestHigherOrderKernelsCorrect(t *testing.T) {
-	cfg := HigherConfig{I: 8, J: 6, K: 4, L: 3, Procs: 4, Seed: 11}
+	cfg := HigherConfig{I: 8, J: 6, K: 4, L: 3, Procs: 4}
 	builders := map[string]func(HigherConfig) (core.Input, error){
 		"TTV":       TTV,
 		"Innerprod": Innerprod,

@@ -8,7 +8,6 @@ import (
 	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/schedule"
-	"distal/internal/tensor"
 )
 
 // HigherConfig describes one higher-order tensor kernel instance (§7.2).
@@ -16,30 +15,22 @@ type HigherConfig struct {
 	// I, J, K, L are the index extents used by the kernel (L is ignored by
 	// TTV and Innerprod).
 	I, J, K, L int
-	// Procs, ProcsPerNode, GPU, Seed as in MatmulConfig.
+	// Procs, ProcsPerNode, GPU as in MatmulConfig.
 	Procs        int
 	ProcsPerNode int
 	GPU          bool
-	Seed         int64
 }
 
 func (c *HigherConfig) asMatmul() MatmulConfig {
-	return MatmulConfig{Procs: c.Procs, ProcsPerNode: c.ProcsPerNode, GPU: c.GPU, Seed: c.Seed}
+	return MatmulConfig{Procs: c.Procs, ProcsPerNode: c.ProcsPerNode, GPU: c.GPU}
 }
 
-func (c *HigherConfig) decl(name string, shape []int, place string, seed int64) *core.TensorDecl {
-	d := &core.TensorDecl{
+func (c *HigherConfig) decl(name string, shape []int, place string) *core.TensorDecl {
+	return &core.TensorDecl{
 		Name:      name,
 		Shape:     append([]int(nil), shape...),
 		Placement: distnot.MustParsePlacement(place),
 	}
-	if c.Seed != 0 {
-		d.Data = tensor.New(name, shape...)
-		if seed != 0 {
-			d.Data.FillRandom(seed)
-		}
-	}
-	return d
 }
 
 // TTV builds A(i,j) = B(i,j,k) * c(k): the 3-tensor is tiled over a 2D grid
@@ -63,9 +54,9 @@ func TTV(cfg HigherConfig) (core.Input, error) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", []int{cfg.I, cfg.J}, "xy->xy", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy", 7),
-			"c": cfg.decl("c", []int{cfg.K}, "x->**", 8),
+			"A": cfg.decl("A", []int{cfg.I, cfg.J}, "xy->xy"),
+			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy"),
+			"c": cfg.decl("c", []int{cfg.K}, "x->**"),
 		},
 		Schedule: s,
 	}, nil
@@ -90,9 +81,9 @@ func Innerprod(cfg HigherConfig) (core.Input, error) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"a": cfg.decl("a", []int{1}, "x->00", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy", 7),
-			"C": cfg.decl("C", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy", 8),
+			"a": cfg.decl("a", []int{1}, "x->00"),
+			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy"),
+			"C": cfg.decl("C", []int{cfg.I, cfg.J, cfg.K}, "xyz->xy"),
 		},
 		Schedule: s,
 	}, nil
@@ -117,9 +108,9 @@ func TTM(cfg HigherConfig) (core.Input, error) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", []int{cfg.I, cfg.J, cfg.L}, "xyz->x", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->x", 7),
-			"C": cfg.decl("C", []int{cfg.K, cfg.L}, "xy->*", 8),
+			"A": cfg.decl("A", []int{cfg.I, cfg.J, cfg.L}, "xyz->x"),
+			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "xyz->x"),
+			"C": cfg.decl("C", []int{cfg.K, cfg.L}, "xy->*"),
 		},
 		Schedule: s,
 	}, nil
@@ -152,10 +143,10 @@ func MTTKRP(cfg HigherConfig) (core.Input, error) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", []int{cfg.I, cfg.L}, "ab->a00", 0),
-			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "abc->abc", 7),
-			"C": cfg.decl("C", []int{cfg.J, cfg.L}, "ab->*a*", 8),
-			"D": cfg.decl("D", []int{cfg.K, cfg.L}, "ab->**a", 9),
+			"A": cfg.decl("A", []int{cfg.I, cfg.L}, "ab->a00"),
+			"B": cfg.decl("B", []int{cfg.I, cfg.J, cfg.K}, "abc->abc"),
+			"C": cfg.decl("C", []int{cfg.J, cfg.L}, "ab->*a*"),
+			"D": cfg.decl("D", []int{cfg.K, cfg.L}, "ab->**a"),
 		},
 		Schedule: s,
 	}, nil

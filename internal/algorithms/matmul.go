@@ -50,9 +50,6 @@ type MatmulConfig struct {
 	// MemWords is the per-processor memory available to the COSMA scheduler
 	// (0: unbounded).
 	MemWords float64
-	// Seed, when non-zero, binds deterministic random data for validated
-	// execution (small sizes only).
-	Seed int64
 }
 
 // MachineFor builds the machine for the given grid under this config.
@@ -68,19 +65,29 @@ func (c MatmulConfig) MachineFor(dims ...int) *machine.Machine {
 	return m
 }
 
-func (c MatmulConfig) decl(name, place string, seed int64) *core.TensorDecl {
-	d := &core.TensorDecl{
+func (c MatmulConfig) decl(name, place string) *core.TensorDecl {
+	return &core.TensorDecl{
 		Name:      name,
 		Shape:     []int{c.N, c.N},
 		Placement: distnot.MustParsePlacement(place),
 	}
-	if c.Seed != 0 {
-		d.Data = tensor.New(name, c.N, c.N)
-		if seed != 0 {
-			d.Data.FillRandom(seed)
+}
+
+// Data builds the data of one Real-mode execution of in, keyed by tensor
+// name (one legion.Options.Batch instance): the output zeroed, and the
+// statement's inputs, in statement order, filled deterministically from
+// seed, seed+1, ...
+func Data(in core.Input, seed int64) map[string]*tensor.Dense {
+	data := map[string]*tensor.Dense{}
+	for _, name := range in.Stmt.TensorNames() {
+		d := tensor.New(name, in.Tensors[name].Shape...)
+		if name != in.Stmt.LHS.Tensor {
+			d.FillRandom(seed)
+			seed++
 		}
+		data[name] = d
 	}
-	return d
+	return data
 }
 
 // Matmul builds the compilation input for A(i,j) = B(i,k) * C(k,j) under
@@ -141,9 +148,9 @@ func matmul2D(alg Alg, stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy", 0),
-			"B": cfg.decl("B", "xy->xy", 7),
-			"C": cfg.decl("C", "xy->xy", 8),
+			"A": cfg.decl("A", "xy->xy"),
+			"B": cfg.decl("B", "xy->xy"),
+			"C": cfg.decl("C", "xy->xy"),
 		},
 		Schedule: s,
 	}, nil
@@ -164,9 +171,9 @@ func matmulJohnson(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy0", 0),
-			"B": cfg.decl("B", "xz->x0z", 7),
-			"C": cfg.decl("C", "zy->0yz", 8),
+			"A": cfg.decl("A", "xy->xy0"),
+			"B": cfg.decl("B", "xz->x0z"),
+			"C": cfg.decl("C", "zy->0yz"),
 		},
 		Schedule: s,
 	}, nil
@@ -203,9 +210,9 @@ func matmulSolomonik(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) 
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy0", 0),
-			"B": cfg.decl("B", "xy->xy0", 7),
-			"C": cfg.decl("C", "xy->xy0", 8),
+			"A": cfg.decl("A", "xy->xy0"),
+			"B": cfg.decl("B", "xy->xy0"),
+			"C": cfg.decl("C", "xy->xy0"),
 		},
 		Schedule: s,
 	}, nil
@@ -233,9 +240,9 @@ func matmulCOSMA(stmt *ir.Assignment, cfg MatmulConfig) (core.Input, error) {
 		Stmt:    stmt,
 		Machine: m,
 		Tensors: map[string]*core.TensorDecl{
-			"A": cfg.decl("A", "xy->xy0", 0),
-			"B": cfg.decl("B", "xz->x0z", 7),
-			"C": cfg.decl("C", "zy->0yz", 8),
+			"A": cfg.decl("A", "xy->xy0"),
+			"B": cfg.decl("B", "xz->x0z"),
+			"C": cfg.decl("C", "zy->0yz"),
 		},
 		Schedule: s,
 	}, nil

@@ -20,9 +20,8 @@ import (
 
 // exampleInputs builds the five example workloads (examples/quickstart,
 // examples/cannon, examples/hierarchical, examples/johnson3d,
-// examples/mttkrp) at validation sizes with deterministic data bound.
-// Builders are re-invoked per call, so each call returns fresh, identical
-// tensors.
+// examples/mttkrp) at validation sizes. Builders are re-invoked per call,
+// so each call returns a fresh, identical input.
 func exampleInputs(t *testing.T) map[string]func() core.Input {
 	t.Helper()
 	mm := func(alg algorithms.Alg, cfg algorithms.MatmulConfig) func() core.Input {
@@ -36,16 +35,16 @@ func exampleInputs(t *testing.T) map[string]func() core.Input {
 	}
 	return map[string]func() core.Input{
 		// quickstart: SUMMA on a 2x2 grid with a chunked k loop.
-		"quickstart": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 4, ChunkSize: 16, Seed: 5}),
+		"quickstart": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 4, ChunkSize: 16}),
 		// cannon: systolic rotation on a 3x3 grid.
-		"cannon": mm(algorithms.Cannon, algorithms.MatmulConfig{N: 24, Procs: 9, Seed: 5}),
+		"cannon": mm(algorithms.Cannon, algorithms.MatmulConfig{N: 24, Procs: 9}),
 		// hierarchical: SUMMA over nodes of grouped processors.
-		"hierarchical": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 32, Procs: 16, ProcsPerNode: 4, ChunkSize: 8, Seed: 5}),
+		"hierarchical": mm(algorithms.SUMMA, algorithms.MatmulConfig{N: 32, Procs: 16, ProcsPerNode: 4, ChunkSize: 8}),
 		// johnson3d: replicated faces and a distributed reduction.
-		"johnson3d": mm(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8, Seed: 5}),
+		"johnson3d": mm(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8}),
 		// mttkrp: the 4-tensor kernel with partial-result reduction.
 		"mttkrp": func() core.Input {
-			in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: 12, J: 6, K: 8, L: 5, Procs: 8, Seed: 5})
+			in, err := algorithms.MTTKRP(algorithms.HigherConfig{I: 12, J: 6, K: 8, L: 5, Procs: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,17 +53,17 @@ func exampleInputs(t *testing.T) map[string]func() core.Input {
 	}
 }
 
-// runReal compiles in and executes it on real data, returning the LHS data.
-func runReal(t *testing.T, in core.Input) *tensor.Dense {
+// runReal compiles in and executes it on data, returning the LHS data.
+func runReal(t *testing.T, in core.Input, data map[string]*tensor.Dense) *tensor.Dense {
 	t.Helper()
 	prog, err := core.Compile(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true}); err != nil {
+	if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{data}}); err != nil {
 		t.Fatal(err)
 	}
-	return prog.RegionByName(in.Stmt.LHS.Tensor).Data
+	return data[in.Stmt.LHS.Tensor]
 }
 
 // TestKernelProgGolden asserts the compiled kernel program and the
@@ -74,11 +73,11 @@ func TestKernelProgGolden(t *testing.T) {
 	for name, build := range exampleInputs(t) {
 		t.Run(name, func(t *testing.T) {
 			compiledIn := build()
-			got := runReal(t, compiledIn)
+			got := runReal(t, compiledIn, algorithms.Data(compiledIn, 7))
 
 			treeIn := build()
 			treeIn.TreeKernel = true
-			want := runReal(t, treeIn)
+			want := runReal(t, treeIn, algorithms.Data(treeIn, 7))
 
 			gd, wd := got.Data(), want.Data()
 			if len(gd) != len(wd) {
@@ -93,13 +92,7 @@ func TestKernelProgGolden(t *testing.T) {
 			// Both must also equal the reference evaluator (within float
 			// tolerance: the distributed loop nest sums in schedule order).
 			refIn := build()
-			data := map[string]*tensor.Dense{}
-			for tn, d := range refIn.Tensors {
-				if tn != refIn.Stmt.LHS.Tensor {
-					data[tn] = d.Data
-				}
-			}
-			ref, err := ir.Evaluate(refIn.Stmt, data)
+			ref, err := ir.Evaluate(refIn.Stmt, algorithms.Data(refIn, 7))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,8 +106,8 @@ func TestKernelProgGolden(t *testing.T) {
 // TestKernelProgIncrement pins the += path: the compiled kernel must
 // accumulate on top of existing LHS contents exactly as the tree walk does.
 func TestKernelProgIncrement(t *testing.T) {
-	build := func(tree bool) core.Input {
-		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 16, Procs: 4, Seed: 5})
+	run := func(tree bool) *tensor.Dense {
+		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 16, Procs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +118,13 @@ func TestKernelProgIncrement(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.Schedule = sched
-		in.Tensors["A"].Data.Fill(1)
 		in.TreeKernel = tree
-		return in
+		data := algorithms.Data(in, 7)
+		data["A"].Fill(1)
+		return runReal(t, in, data)
 	}
-	got := runReal(t, build(false))
-	want := runReal(t, build(true))
+	got := run(false)
+	want := run(true)
 	for i := range got.Data() {
 		if got.Data()[i] != want.Data()[i] {
 			t.Fatalf("increment output[%d]: %v != %v", i, got.Data()[i], want.Data()[i])

@@ -21,17 +21,6 @@ import (
 	"distal/internal/tensor"
 )
 
-// matmulData builds a fresh per-execution binding for an n x n matmul: the
-// deterministic inputs the algorithms package seeds, and a zero output.
-func matmulData(n int) map[string]*tensor.Dense {
-	a := tensor.New("A", n, n)
-	b := tensor.New("B", n, n)
-	b.FillRandom(7)
-	c := tensor.New("C", n, n)
-	c.FillRandom(8)
-	return map[string]*tensor.Dense{"A": a, "B": b, "C": c}
-}
-
 // TestParallelLeafTasksMatchSerial executes one shared compiled plan with
 // per-execution data bindings at several worker counts and GOMAXPROCS
 // settings, requiring every run's output to be bit-identical to the serial
@@ -41,13 +30,13 @@ func matmulData(n int) map[string]*tensor.Dense {
 func TestParallelLeafTasksMatchSerial(t *testing.T) {
 	workloads := map[string]func() (core.Input, error){
 		"summa": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 16, ChunkSize: 16, Seed: 5})
+			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 64, Procs: 16, ChunkSize: 16})
 		},
 		"johnson": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8, Seed: 5})
+			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 24, Procs: 8})
 		},
 		"cannon-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9, Seed: 5})
+			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9})
 		},
 	}
 	for name, mk := range workloads {
@@ -56,15 +45,14 @@ func TestParallelLeafTasksMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := in.Tensors["A"].Shape[0]
 			prog, err := core.Compile(in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			execute := func(workers int) (*tensor.Dense, error) {
-				data := matmulData(n)
+				data := algorithms.Data(in, 7)
 				_, err := legion.Run(prog, legion.Options{
-					Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Data: data,
+					Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Batch: []map[string]*tensor.Dense{data},
 				})
 				return data["A"], err
 			}
@@ -101,7 +89,7 @@ func TestParallelLeafTasksMatchSerial(t *testing.T) {
 // additionally proves the plan and its pooled kernel scratch are safe to
 // share.
 func TestParallelSharedPlanConcurrentRuns(t *testing.T) {
-	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16, Seed: 5})
+	in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +98,9 @@ func TestParallelSharedPlanConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	execute := func(workers int) (*tensor.Dense, error) {
-		data := matmulData(50)
+		data := algorithms.Data(in, 7)
 		_, err := legion.Run(prog, legion.Options{
-			Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Data: data,
+			Params: sim.LassenCPU(), Real: true, RealWorkers: workers, Batch: []map[string]*tensor.Dense{data},
 		})
 		return data["A"], err
 	}

@@ -15,7 +15,6 @@ import (
 	"distal/internal/distnot"
 	"distal/internal/ir"
 	"distal/internal/schedule"
-	"distal/internal/tensor"
 )
 
 // assertBitIdentical runs in's compiled and tree kernels and compares every
@@ -23,11 +22,12 @@ import (
 // sequential reference evaluator.
 func assertBitIdentical(t *testing.T, build func() core.Input) {
 	t.Helper()
-	got := runReal(t, build())
+	in := build()
+	got := runReal(t, in, algorithms.Data(in, 7))
 
 	treeIn := build()
 	treeIn.TreeKernel = true
-	want := runReal(t, treeIn)
+	want := runReal(t, treeIn, algorithms.Data(treeIn, 7))
 
 	gd, wd := got.Data(), want.Data()
 	if len(gd) != len(wd) {
@@ -40,13 +40,7 @@ func assertBitIdentical(t *testing.T, build func() core.Input) {
 	}
 
 	refIn := build()
-	data := map[string]*tensor.Dense{}
-	for tn, d := range refIn.Tensors {
-		if tn != refIn.Stmt.LHS.Tensor {
-			data[tn] = d.Data
-		}
-	}
-	ref, err := ir.Evaluate(refIn.Stmt, data)
+	ref, err := ir.Evaluate(refIn.Stmt, algorithms.Data(refIn, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +57,13 @@ func assertBitIdentical(t *testing.T, build func() core.Input) {
 func TestStridedKernelRagged(t *testing.T) {
 	cases := map[string]func() (core.Input, error){
 		"summa-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16, Seed: 5})
+			return algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{N: 50, Procs: 16, ChunkSize: 16})
 		},
 		"cannon-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9, Seed: 5})
+			return algorithms.Matmul(algorithms.Cannon, algorithms.MatmulConfig{N: 25, Procs: 9})
 		},
 		"johnson-ragged": func() (core.Input, error) {
-			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 23, Procs: 8, Seed: 5})
+			return algorithms.Matmul(algorithms.Johnson, algorithms.MatmulConfig{N: 23, Procs: 8})
 		},
 	}
 	for name, mk := range cases {
@@ -93,7 +87,7 @@ func TestStridedKernelRagged(t *testing.T) {
 func TestStridedKernelRotatedInnermostFallback(t *testing.T) {
 	build := func() core.Input {
 		stmt := ir.MustParse("A(i,j) = B(i,k) * C(k,j)")
-		cfg := algorithms.MatmulConfig{N: 24, Procs: 9, Seed: 5}
+		cfg := algorithms.MatmulConfig{N: 24, Procs: 9}
 		s := schedule.New(stmt).
 			DistributeOnto([]string{"i", "j"}, []string{"io", "jo"}, []string{"ii", "ji"}, []int{3, 3}).
 			Divide("k", "ko", "ki", 3).
@@ -105,23 +99,18 @@ func TestStridedKernelRotatedInnermostFallback(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
 		}
-		decl := func(name string, seed int64) *core.TensorDecl {
-			d := &core.TensorDecl{
+		decl := func(name string) *core.TensorDecl {
+			return &core.TensorDecl{
 				Name:      name,
 				Shape:     []int{cfg.N, cfg.N},
 				Placement: distnot.MustParsePlacement("xy->xy"),
-				Data:      tensor.New(name, cfg.N, cfg.N),
 			}
-			if seed != 0 {
-				d.Data.FillRandom(seed)
-			}
-			return d
 		}
 		return core.Input{
 			Stmt:    stmt,
 			Machine: cfg.MachineFor(3, 3),
 			Tensors: map[string]*core.TensorDecl{
-				"A": decl("A", 0), "B": decl("B", 7), "C": decl("C", 8),
+				"A": decl("A"), "B": decl("B"), "C": decl("C"),
 			},
 			Schedule: s,
 		}

@@ -13,6 +13,7 @@ import (
 	"distal/internal/legion"
 	"distal/internal/obs"
 	"distal/internal/sim"
+	"distal/internal/tensor"
 )
 
 // HotpathRow is one host-side hot-path measurement: the best-of-N wall time
@@ -55,10 +56,15 @@ func Hotpath(runs int) ([]HotpathRow, error) {
 	}
 	realIn := func(tree bool) (core.Input, error) {
 		in, err := algorithms.Matmul(algorithms.SUMMA, algorithms.MatmulConfig{
-			N: 128, Procs: 16, ChunkSize: 32, Seed: 5,
+			N: 128, Procs: 16, ChunkSize: 32,
 		})
 		in.TreeKernel = tree
 		return in, err
+	}
+	// The real rows bind one data set, allocated once outside the timed
+	// closures.
+	realOpt := func(in core.Input) legion.Options {
+		return legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{algorithms.Data(in, 7)}}
 	}
 
 	best := func(f func() error) (float64, error) {
@@ -116,8 +122,8 @@ func Hotpath(runs int) ([]HotpathRow, error) {
 		{"compile-summa16x16seq", compileOnly(summa)},
 		{"compile-johnson8x8x8", compileOnly(johnson)},
 		{"cold-execute-sim", execute(johnson, legion.Options{Params: sim.LassenGPU()})},
-		{"cold-execute-real", execute(realCompiled, legion.Options{Params: sim.LassenCPU(), Real: true})},
-		{"cold-execute-real-tree", execute(realTree, legion.Options{Params: sim.LassenCPU(), Real: true})},
+		{"cold-execute-real", execute(realCompiled, realOpt(realCompiled))},
+		{"cold-execute-real-tree", execute(realTree, realOpt(realTree))},
 		{"blocked-matmul-ref", blockedMatmulRef(128, 32)},
 	}
 	batchCases, err := batchHotpath()
@@ -145,8 +151,7 @@ func Hotpath(runs int) ([]HotpathRow, error) {
 		}
 		rows = append(rows, HotpathRow{Name: c.name, MS: ms, Runs: runs})
 	}
-	realOpt := legion.Options{Params: sim.LassenCPU(), Real: true}
-	disabled, overhead, pairRuns, err := obsOverhead(runs, realCompiled, realOpt, executeTraced)
+	disabled, overhead, pairRuns, err := obsOverhead(runs, realCompiled, realOpt(realCompiled), executeTraced)
 	if err != nil {
 		return nil, fmt.Errorf("hotpath obs-overhead: %w", err)
 	}

@@ -35,7 +35,7 @@ func Fig9Table(procs, n int) ([]Fig9Row, error) {
 	for _, alg := range algorithms.MatmulAlgs {
 		row := Fig9Row{Alg: algName(alg)}
 		// Correctness at a small size with real data.
-		small, err := algorithms.Matmul(alg, algorithms.MatmulConfig{N: 24, Procs: 8, Seed: 5})
+		small, err := algorithms.Matmul(alg, algorithms.MatmulConfig{N: 24, Procs: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -92,13 +92,8 @@ func cbrtf(p int) float64 {
 // validateReal executes the input on real data and compares against the
 // reference evaluator.
 func validateReal(in core.Input) (bool, error) {
-	inputs := map[string]*tensor.Dense{}
-	for name, d := range in.Tensors {
-		if name != in.Stmt.LHS.Tensor {
-			inputs[name] = d.Data
-		}
-	}
-	want, err := ir.Evaluate(in.Stmt, inputs)
+	data := algorithms.Data(in, 7)
+	want, err := ir.Evaluate(in.Stmt, data)
 	if err != nil {
 		return false, err
 	}
@@ -106,10 +101,10 @@ func validateReal(in core.Input) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true}); err != nil {
+	if _, err := legion.Run(prog, legion.Options{Params: sim.LassenCPU(), Real: true, Batch: []map[string]*tensor.Dense{data}}); err != nil {
 		return false, err
 	}
-	got := in.Tensors[in.Stmt.LHS.Tensor].Data
+	got := data[in.Stmt.LHS.Tensor]
 	if want.Rank() == 0 && got.Rank() == 1 {
 		d := want.At() - got.At(0)
 		return d < 1e-9 && d > -1e-9, nil

@@ -8,12 +8,12 @@ import (
 
 // Ctx gives a Real-mode leaf kernel access to the data of its region
 // requirements in global coordinates. Reads and writes resolve against the
-// execution's data binding (Options.Data or one Options.Batch instance,
-// overriding Region.Data), so one immutable cached program can run on
-// different data per execution — and, under a batched execution, on N
-// independent problem instances at once: each deferred task carries the slot
-// (instance index) it computes, and every read or write resolves against
-// that instance's tensors.
+// execution's data binding (one Options.Batch instance; regions themselves
+// hold no data), so one immutable cached program can run on different data
+// per execution — and, under a batched execution, on N independent problem
+// instances at once: each deferred task carries the slot (instance index)
+// it computes, and every read or write resolves against that instance's
+// tensors.
 //
 // Instances are recycled through the executor's free list: runLaunch binds
 // one per deferred (instance × task), the task batch runs, and reset returns

@@ -19,19 +19,18 @@ type Options struct {
 	Params sim.Params
 	// Real executes leaf kernels on actual data (for correctness checks).
 	Real bool
-	// Data binds per-execution canonical data by region name, overriding
-	// Region.Data. A cached (immutable, data-free) program can thereby run
-	// Real-mode executions on different tensors concurrently: the binding
-	// lives in the execution, not in the shared plan.
-	Data map[string]*tensor.Dense
-	// Batch binds N independent problem instances, one data map per
-	// instance, and runs them all in a single launch walk: simulated-time
+	// Batch binds the data of a Real-mode execution: N independent problem
+	// instances (N = 1 for a plain run), one data map by region name per
+	// instance. It is the only way data reaches a program — programs are
+	// data-free, so one cached program runs on different tensors
+	// concurrently, the binding living in the execution, not in the shared
+	// plan. All instances run in a single launch walk: simulated-time
 	// accounting runs exactly once (metrics are identical to a
 	// single-instance run), while Real-mode leaf tasks are captured per
 	// (instance × task) and drained over the worker pool, with accumulator
 	// grouping scoped per instance so instances never serialize against
-	// each other. Requires Real; when set, Data is ignored. Instances must
-	// not share output tensors with each other (inputs may be shared).
+	// each other. Requires Real. Instances must not share output tensors
+	// with each other (inputs may be shared).
 	Batch []map[string]*tensor.Dense
 	// Synchronous disables communication/computation overlap: copies cannot
 	// start before the destination processor is idle, and a global barrier
@@ -225,7 +224,7 @@ type executor struct {
 	gpuMem   bool
 	reg      map[*Region]*regState
 	data     []map[*Region]*tensor.Dense // Real mode: resolved canonical data, one map per batch instance
-	binds    []map[string]*tensor.Dense  // Real mode: the caller's name-keyed bindings (Batch, or Data as one instance)
+	binds    []map[string]*tensor.Dense  // Real mode: the caller's name-keyed bindings (Options.Batch)
 	stageReg []map[string]*Region        // per completed stage: region name -> region, for handoff resolution
 	batch    int                         // number of problem instances (1 unless Options.Batch)
 	accs     map[accKey]*accumulator

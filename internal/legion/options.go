@@ -21,18 +21,11 @@ func NewOptions(params sim.Params, mods ...Option) Options {
 // WithReal executes leaf kernels on actual data (correctness mode).
 func WithReal() Option { return func(o *Options) { o.Real = true } }
 
-// WithData binds per-execution canonical data by region name (implies
-// nothing about Real; combine with WithReal). The binding overrides
-// Region.Data, letting a shared cached program run on caller-owned tensors.
-func WithData(data map[string]*tensor.Dense) Option {
-	return func(o *Options) { o.Data = data }
-}
-
-// WithBatch binds N independent problem instances (one data map each) to a
-// single execution: the launch walk and all simulated-time accounting run
-// once, while real leaf tasks fan out per (instance × task) over the worker
-// pool. Implies nothing about Real; combine with WithReal. Instances must
-// not share output tensors.
+// WithBatch binds N independent problem instances (one data map each, N = 1
+// for a plain run) to a single execution: the launch walk and all
+// simulated-time accounting run once, while real leaf tasks fan out per
+// (instance × task) over the worker pool. Implies nothing about Real;
+// combine with WithReal. Instances must not share output tensors.
 func WithBatch(batch []map[string]*tensor.Dense) Option {
 	return func(o *Options) { o.Batch = batch }
 }

@@ -99,7 +99,7 @@ func RunStages(ctx context.Context, stages []Stage, opt Options) (*Result, error
 	if opt.Real {
 		e.binds = opt.Batch
 		if len(e.binds) == 0 {
-			e.binds = []map[string]*tensor.Dense{opt.Data}
+			e.binds = []map[string]*tensor.Dense{nil} // every region unbound: placeRegion fails
 		}
 		e.data = make([]map[*Region]*tensor.Dense, len(e.binds))
 		for b := range e.data {
@@ -241,9 +241,6 @@ func (e *executor) placeRegion(r *Region) error {
 				inst = fmt.Sprintf(" (instance %d)", b)
 			}
 			d := bind[r.Name]
-			if d == nil {
-				d = r.Data
-			}
 			if d == nil {
 				return fmt.Errorf("legion: Real execution requires data bound to region %s%s", r.Name, inst)
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"distal/internal/codegen"
 	"distal/internal/legion"
 )
 
@@ -94,6 +95,12 @@ func (s *Session) newPlan(key string, stages []stage, binds []string, output str
 	return p
 }
 
+// stagePlan returns st as a standalone one-stage plan binding every tensor
+// of its statement.
+func (s *Session) stagePlan(st stage) *Plan {
+	return s.newPlan(st.key, []stage{st}, st.data.tensorNames, st.data.output)
+}
+
 // Key returns the plan's cache key. A one-statement plan's key is the
 // content hash over statement, shapes, formats, schedule text, and machine
 // (see core.PlanKey); a multi-statement plan's key hashes its stage keys in
@@ -118,6 +125,13 @@ func (p *Plan) joinStages(field func(*planData) string) string {
 		lines[i] = field(st.data)
 	}
 	return strings.Join(lines, "\n")
+}
+
+// Listing renders the generated Legion program of every stage, in
+// execution order, listing at most maxPoints task points per launch (0 lists
+// all).
+func (p *Plan) Listing(maxPoints int) string {
+	return p.joinStages(func(pd *planData) string { return codegen.Program(pd.prog, maxPoints) })
 }
 
 // Stats reports how this Compile call was satisfied and the program's size.
@@ -204,8 +218,7 @@ func (p *Plan) StageMetas() []StageMeta {
 func (p *Plan) StagePlans() []*Plan {
 	plans := make([]*Plan, len(p.stages))
 	for i, st := range p.stages {
-		plans[i] = p.sess.newPlan(st.key, []stage{{key: st.key, data: st.data, stats: st.stats}},
-			st.data.tensorNames, st.data.output)
+		plans[i] = p.sess.stagePlan(stage{key: st.key, data: st.data, stats: st.stats})
 	}
 	return plans
 }

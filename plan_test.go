@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,25 +144,84 @@ func TestPlanBindErrors(t *testing.T) {
 	}
 }
 
+// TestBindRejectsAliasedOutput: a bound output whose data is also bound as
+// another tensor — an input of its own instance or any tensor of another —
+// is a KindExec bind error, and no kernel runs: executing would read a
+// tensor while overwriting it and silently return a wrong answer.
+func TestBindRejectsAliasedOutput(t *testing.T) {
+	ctx := context.Background()
+	sess := NewSession(NewMachine(CPU, 2, 2))
+	plan, err := sess.Compile(ctx, gemmRequest(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := MustFormat("xy->xy")
+	B := NewTensor("B", f, 16, 16).FillRandom(1)
+	C := NewTensor("C", f, 16, 16).FillRandom(2)
+	before := B.Data.Clone("B")
+	aliasB := NewTensor("A", f, 16, 16).Bind(B.Data)
+	cases := map[string]*Binding{
+		"bind":        plan.Bind(aliasB, B, C),
+		"batch-same":  plan.BindBatch([]*Tensor{NewTensor("A", f, 16, 16).Zero(), NewTensor("B", f, 16, 16).Zero(), C}, []*Tensor{aliasB, B, C}),
+		"batch-other": plan.BindBatch([]*Tensor{NewTensor("A", f, 16, 16).Bind(C.Data), B, C}, []*Tensor{aliasB, NewTensor("B", f, 16, 16).Zero(), C}),
+	}
+	for name, b := range cases {
+		_, err := b.Run(ctx)
+		if err == nil {
+			t.Errorf("%s: Run succeeded on an output aliasing an input, want a bind error", name)
+			continue
+		}
+		if KindOf(err) != KindExec || !strings.Contains(err.Error(), "outputs must be private") {
+			t.Errorf("%s: err = %v (kind %v), want a KindExec aliasing error", name, err, KindOf(err))
+		}
+		if b.Len() != 0 || b.Output(0) != nil {
+			t.Errorf("%s: failed binding reports %d instances", name, b.Len())
+		}
+	}
+	if !B.Data.EqualWithin(before, 0) {
+		t.Fatal("a rejected binding ran kernels over the aliased input")
+	}
+}
+
 func TestErrorKinds(t *testing.T) {
 	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	shapes := map[string][]int{"A": {8, 8}, "B": {8, 8}, "C": {8, 8}}
+	compile := func(req Request) error {
+		_, err := sess.Compile(ctx, req)
+		return err
+	}
+	// The fluent layer classifies the same failures as the Request path.
+	f := Tiled(2)
+	gemmTensors := func() []*Tensor {
+		return []*Tensor{NewTensor("A", f, 8, 8), NewTensor("B", f, 8, 8), NewTensor("C", f, 8, 8)}
+	}
+	define := func(expr string, tensors ...*Tensor) error {
+		_, err := sess.Define(expr, tensors...)
+		return err
+	}
+	gemm := sess.MustDefine(gemmStmt, gemmTensors()...)
+	wide := NewSession(NewMachine(CPU, 2, 2, 2)).MustDefine(gemmStmt, gemmTensors()...)
 	cases := []struct {
 		name string
-		req  Request
+		err  error
 		kind ErrKind
 	}{
-		{"parse", Request{Stmt: "A(i,j) ="}, KindParse},
-		{"missing shape", Request{Stmt: gemmStmt, Shapes: map[string][]int{"A": {8, 8}}}, KindParse},
-		{"bad format", Request{Stmt: gemmStmt, Shapes: shapes, Formats: map[string]string{"A": "xy->>xy"}}, KindParse},
-		{"bad schedule", Request{Stmt: gemmStmt, Shapes: shapes, Schedule: "divide(i,io,ii)"}, KindSchedule},
-		{"unknown variable", Request{Stmt: gemmStmt, Shapes: shapes, Schedule: "divide(zz,io,ii,2)"}, KindSchedule},
+		{"parse", compile(Request{Stmt: "A(i,j) ="}), KindParse},
+		{"missing shape", compile(Request{Stmt: gemmStmt, Shapes: map[string][]int{"A": {8, 8}}}), KindParse},
+		{"bad format", compile(Request{Stmt: gemmStmt, Shapes: shapes, Formats: map[string]string{"A": "xy->>xy"}}), KindParse},
+		{"bad schedule", compile(Request{Stmt: gemmStmt, Shapes: shapes, Schedule: "divide(i,io,ii)"}), KindSchedule},
+		{"unknown variable", compile(Request{Stmt: gemmStmt, Shapes: shapes, Schedule: "divide(zz,io,ii,2)"}), KindSchedule},
+		{"fluent parse", define("A(i,j) ="), KindParse},
+		{"fluent missing tensor", define(gemmStmt, gemmTensors()[:2]...), KindParse},
+		{"fluent bad schedule", gemm.ApplySchedule("divide(i,io,ii)"), KindSchedule},
+		{"fluent unknown variable", gemm.ApplySchedule("divide(zz,io,ii,2)"), KindSchedule},
+		{"fluent auto-schedule", wide.AutoSchedule(), KindSchedule},
 	}
 	for _, c := range cases {
-		_, err := sess.Compile(ctx, c.req)
+		err := c.err
 		if err == nil {
-			t.Errorf("%s: Compile succeeded, want error", c.name)
+			t.Errorf("%s: succeeded, want error", c.name)
 			continue
 		}
 		if got := KindOf(err); got != c.kind {

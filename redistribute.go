@@ -1,8 +1,11 @@
 package distal
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
-// Redistribute builds (through the plan cache) a program that moves tensor
+// Redistribute compiles (through the plan cache) a plan that moves tensor
 // t into the dst format on the session's machine (§1: "easily transform
 // data between distributed layouts to match the computation"). It is
 // compiled through the ordinary pipeline — the layout-change program of
@@ -12,9 +15,9 @@ import "fmt"
 // the copies the layout change requires, prices them, and (in Real mode)
 // performs them.
 //
-// The returned tensor is the destination; after Run its Data holds t's
-// contents.
-func (s *Session) Redistribute(t *Tensor, dst Format) (*Program, *Tensor, error) {
+// The returned tensor is the destination, with zeroed data when t has
+// data: plan.Bind(out, t).Run(ctx) leaves t's contents in out.Data.
+func (s *Session) Redistribute(t *Tensor, dst Format) (*Plan, *Tensor, error) {
 	if len(t.Shape) == 0 || len(t.Shape) > 6 {
 		return nil, nil, fmt.Errorf("distal: redistribute supports ranks 1..6, got %d", len(t.Shape))
 	}
@@ -33,22 +36,22 @@ func (s *Session) Redistribute(t *Tensor, dst Format) (*Program, *Tensor, error)
 	if err := comp.ApplySchedule(sched); err != nil {
 		return nil, nil, err
 	}
-	prog, err := comp.Compile()
+	plan, err := comp.Compile()
 	if err != nil {
 		return nil, nil, err
 	}
-	return prog, out, nil
+	return plan, out, nil
 }
 
 // RedistributeCost simulates the layout change under the session's cost
 // model and returns moved bytes and simulated seconds without touching
 // data.
 func (s *Session) RedistributeCost(t *Tensor, dst Format) (bytes int64, seconds float64, err error) {
-	prog, _, err := s.Redistribute(t, dst)
+	plan, _, err := s.Redistribute(t, dst)
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := prog.Simulate(s.params)
+	res, err := plan.Simulate(context.Background())
 	if err != nil {
 		return 0, 0, err
 	}

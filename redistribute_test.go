@@ -1,16 +1,19 @@
 package distal
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestRedistributeRowsToTiles(t *testing.T) {
 	const n = 16
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	src := NewTensor("T", MustFormat("xy->x*"), n, n).FillRandom(9)
-	prog, dst, err := sess.Redistribute(src, Tiled(2))
+	plan, dst, err := sess.Redistribute(src, Tiled(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(LassenCPU())
+	res, err := plan.Bind(dst, src).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +52,11 @@ func TestRedistributeToReplicated(t *testing.T) {
 	const n = 8
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	src := NewTensor("T", MustFormat("xy->xy"), n, n).FillRandom(4)
-	prog, dst, err := sess.Redistribute(src, MustFormat("xy->x*"))
+	plan, dst, err := sess.Redistribute(src, MustFormat("xy->x*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(LassenCPU()); err != nil {
+	if _, err := plan.Bind(dst, src).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Data.EqualWithin(src.Data, 0) {
@@ -64,11 +67,11 @@ func TestRedistributeToReplicated(t *testing.T) {
 func TestRedistribute3Tensor(t *testing.T) {
 	sess := NewSession(NewMachine(CPU, 4))
 	src := NewTensor("T", MustFormat("xyz->x"), 8, 6, 4).FillRandom(3)
-	prog, dst, err := sess.Redistribute(src, MustFormat("xyz->y"))
+	plan, dst, err := sess.Redistribute(src, MustFormat("xyz->y"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(LassenCPU()); err != nil {
+	if _, err := plan.Bind(dst, src).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Data.EqualWithin(src.Data, 0) {

@@ -133,12 +133,14 @@ func (s *Session) store(key string, data *planData) {
 	}
 }
 
-// Define parses the statement and binds the named tensors against the
+// Define parses the statement and declares the named tensors against the
 // session's machine; the resulting computation compiles through the
-// session's plan cache.
+// session's plan cache. Only the tensors' names, shapes, and formats are
+// read: data binds per execution through Plan.Bind.
 // Every tensor named in the expression must be provided, with shapes the
-// statement accepts.
-func (s *Session) Define(expr string, tensors ...*Tensor) (*Computation, error) {
+// statement accepts; failures are KindParse.
+func (s *Session) Define(expr string, tensors ...*Tensor) (_ *Computation, err error) {
+	defer func() { err = wrapErr(KindParse, "compile", err) }()
 	stmt, err := ir.Parse(expr)
 	if err != nil {
 		return nil, err
@@ -228,11 +230,12 @@ func (s *Session) buildComputation(req Request) (*Computation, error) {
 		return nil, err
 	}
 	if req.Schedule == "" {
-		if err := c.AutoSchedule(); err != nil {
-			return nil, wrapErr(KindSchedule, "compile", err)
-		}
-	} else if err := c.ApplySchedule(req.Schedule); err != nil {
-		return nil, wrapErr(KindSchedule, "compile", err)
+		err = c.AutoSchedule()
+	} else {
+		err = c.ApplySchedule(req.Schedule)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -281,11 +284,7 @@ func (s *Session) buildUnscheduled(req Request) (*Computation, error) {
 		}
 		tensors = append(tensors, NewTensor(name, f, shape...))
 	}
-	c, err := s.Define(req.Stmt, tensors...)
-	if err != nil {
-		return nil, wrapErr(KindParse, "compile", err)
-	}
-	return c, nil
+	return s.Define(req.Stmt, tensors...)
 }
 
 // Compile compiles a request into an immutable Plan through the plan cache.
@@ -311,7 +310,7 @@ func (s *Session) Compile(ctx context.Context, req Request) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.newPlan(st.key, []stage{st}, st.data.tensorNames, st.data.output), nil
+	return s.stagePlan(st), nil
 }
 
 // compileStage resolves one statement's program under a "compile" span.
@@ -433,20 +432,6 @@ func (s *Session) Execute(req Request, opts ...ExecOption) (*Result, error) {
 	return plan.Simulate(ctx, opts...)
 }
 
-// cacheable reports whether the computation's plan may be cached.
-// Computations with data bound at Define time are not: their regions
-// capture the data reference at compile, so a shared plan would alias it.
-// (Request-compiled plans are always data-free; they run on real data via
-// Plan.Bind, which binds per execution instead.)
-func (c *Computation) cacheable() bool {
-	for _, name := range c.Stmt.TensorNames() {
-		if c.tensors[name].Data != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // compileInput assembles the compiler input for this computation.
 func (c *Computation) compileInput() core.Input {
 	decls := map[string]*core.TensorDecl{}
@@ -456,7 +441,6 @@ func (c *Computation) compileInput() core.Input {
 			Name:      name,
 			Shape:     t.Shape,
 			Placement: t.Format.Placement,
-			Data:      t.Data,
 		}
 	}
 	return core.Input{
@@ -493,11 +477,12 @@ func (c *Computation) Notation() string { return cin.Build(c.sched).String() }
 func (c *Computation) ScheduleText() string { return c.sched.String() }
 
 // ApplySchedule parses scheduling-command text and applies it to the
-// computation's schedule, after any commands already applied.
+// computation's schedule, after any commands already applied. Failures are
+// KindSchedule.
 func (c *Computation) ApplySchedule(src string) error {
 	cs, err := schedule.Parse(src)
 	if err != nil {
-		return err
+		return wrapErr(KindSchedule, "compile", err)
 	}
-	return c.sched.Apply(cs).Err()
+	return wrapErr(KindSchedule, "compile", c.sched.Apply(cs).Err())
 }

@@ -3,8 +3,12 @@ package distal
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+
+	"distal/internal/ir"
+	"distal/internal/tensor"
 )
 
 const gemmStmt = "A(i,j) = B(i,k) * C(k,j)"
@@ -230,32 +234,61 @@ func TestSessionCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestSessionBoundDataNotCached: computations with real data bound must not
-// share plans through the cache (Real execution mutates bound regions).
-func TestSessionBoundDataNotCached(t *testing.T) {
+// TestSessionBoundDataSharesPlan: data binds per execution, never at
+// compile time, so fluent computations over different data compile to one
+// cached plan, and each Bind(...).Run computes on its own tensors only.
+func TestSessionBoundDataSharesPlan(t *testing.T) {
+	ctx := context.Background()
 	sess := NewSession(NewMachine(CPU, 2, 2))
 	f := MustFormat("xy->xy")
-	build := func() *Computation {
-		A := NewTensor("A", f, 16, 16).Zero()
-		B := NewTensor("B", f, 16, 16).FillRandom(1)
-		C := NewTensor("C", f, 16, 16).FillRandom(2)
-		return sess.MustDefine(gemmStmt, A, B, C)
+	type fluentRun struct {
+		A, B, C *Tensor
+		plan    *Plan
 	}
-	for i := 0; i < 2; i++ {
-		c := build()
+	runs := make([]fluentRun, 2)
+	for i := range runs {
+		r := &runs[i]
+		r.A = NewTensor("A", f, 16, 16).Zero()
+		r.B = NewTensor("B", f, 16, 16).FillRandom(int64(2*i + 1))
+		r.C = NewTensor("C", f, 16, 16).FillRandom(int64(2*i + 2))
+		c := sess.MustDefine(gemmStmt, r.A, r.B, r.C)
 		if err := c.AutoSchedule(); err != nil {
 			t.Fatal(err)
 		}
-		prog, err := c.Compile()
+		plan, err := c.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prog.Run(LassenCPU()); err != nil {
+		r.plan = plan
+	}
+	if st := sess.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 entry: bound data must not bypass the cache", st)
+	}
+	if runs[0].plan.Key() != runs[1].plan.Key() {
+		t.Fatal("computations over different data compiled to different plans")
+	}
+	stmt := ir.MustParse(gemmStmt)
+	var first *tensor.Dense
+	for i, r := range runs {
+		if _, err := r.plan.Bind(r.A, r.B, r.C).Run(ctx); err != nil {
 			t.Fatal(err)
 		}
+		want, err := ir.Evaluate(stmt, map[string]*tensor.Dense{"B": r.B.Data, "C": r.C.Data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.A.Data.EqualWithin(want, 1e-9) {
+			t.Fatalf("run %d: result differs from ir.Evaluate by %g", i, r.A.Data.MaxAbsDiff(want))
+		}
+		if i == 0 {
+			if slices.ContainsFunc(runs[1].A.Data.Data(), func(v float64) bool { return v != 0 }) {
+				t.Fatal("run 0 wrote into run 1's output")
+			}
+			first = r.A.Data.Clone("A")
+		}
 	}
-	if st := sess.CacheStats(); st.Entries != 0 {
-		t.Fatalf("bound-data plans were cached: %+v", st)
+	if !runs[0].A.Data.EqualWithin(first, 0) {
+		t.Fatal("run 1 wrote into run 0's output")
 	}
 }
 
@@ -407,14 +440,14 @@ func TestFluentCompileSingleflight(t *testing.T) {
 	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	progs := make([]*Program, n)
+	plans := make([]*Plan, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			progs[i], errs[i] = comps[i].Compile()
+			plans[i], errs[i] = comps[i].Compile()
 		}(i)
 	}
 	close(start)
@@ -432,8 +465,8 @@ func TestFluentCompileSingleflight(t *testing.T) {
 		t.Fatalf("hits = %d, want %d (everyone else shares)", st.Hits, n-1)
 	}
 	for i := 1; i < n; i++ {
-		if progs[i].P != progs[0].P {
-			t.Fatalf("compile %d returned a different program object", i)
+		if plans[i].Key() != plans[0].Key() {
+			t.Fatalf("compile %d returned a different plan", i)
 		}
 	}
 	// A fluent compile and a Request compile of the same program share one
